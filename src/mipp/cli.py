@@ -18,8 +18,11 @@ from pathlib import Path
 from . import evaluation, feature_crypto, group_crypto
 from .cloud_node import AddImages, CloudNode, DeleteImages, QueryEnvelope, UpdateImages
 from .ehd_features import extract_ehd
-from .image_cipher import image_dec, image_enc, keygen, read_pgm, write_pgm
+# image_enc is not called here; it stays bound so that instrumentation which
+# wraps this module's image-cipher names finds every one of them.
+from .image_cipher import image_dec, image_enc, keygen, read_pgm, write_pgm  # noqa: F401
 from .kmc_node import KmcNode
+from .protocol_sim import decrypt_and_rerank, encrypt_uploads
 from .rng import derive_seed
 
 USERS_HEADER = "uid\tak_hex"
@@ -91,13 +94,9 @@ def cmd_ingest(args) -> int:
     max_pixels = max(item.image.size for item in corpus.items)
     for owner_id, items in sorted(corpus.by_owner().items()):
         sk = keygen(128, max_pixels, derive_seed(seed, f"owner-sk:{owner_id}"))
-        uploads = []
-        for item in items:
-            feature = extract_ehd(item.image)
-            enc = feature_crypto.encrypt_feature_pair(
-                params, feature, derive_seed(seed, f"feature:{item.item_id}")
-            )
-            uploads.append((item.item_id, image_enc(sk, item.image), enc))
+        uploads, _ = encrypt_uploads(
+            params, sk, [(item.item_id, item.image) for item in items], seed, "feature:"
+        )
         cloud.register_owner(owner_id, [(args.user, ak)], uploads)
         kmc.store_owner_key(owner_id, sk)
 
@@ -137,22 +136,19 @@ def cmd_query(args) -> int:
         [(r.owner_id, r.image_id, r.enc_image) for r in results], uid, session
     )
 
-    ranked = []
-    for (owner_id, image_id, enc_img), result in zip(ner, results):
-        plain = image_dec(usk, enc_img)
-        gap = int(((extract_ehd(plain) - feature) ** 2).sum())
-        ranked.append((gap, owner_id, image_id, result.distance, plain))
-    ranked.sort(key=lambda row: row[:3])
+    images, ranked = decrypt_and_rerank(usk, feature, ner)
+    distance = {(r.owner_id, r.image_id): r.distance for r in results}
 
     lines = ["user_rank\towner_id\timage_id\tcloud_distance\tlocal_euclidean"]
-    for rank, (gap, owner_id, image_id, cloud_dist, plain) in enumerate(ranked, 1):
+    for rank, (gap, owner_id, image_id) in enumerate(ranked, 1):
+        key = (owner_id, image_id)
         lines.append(
-            f"{rank}\t{owner_id}\t{image_id}\t{cloud_dist:.4f}\t{gap ** 0.5:.4f}"
+            f"{rank}\t{owner_id}\t{image_id}\t{distance[key]:.4f}\t{gap ** 0.5:.4f}"
         )
         if args.save_images:
             out_dir = Path(args.save_images)
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_pgm(out_dir / f"{rank:03d}_{owner_id}_{image_id}.pgm", plain)
+            write_pgm(out_dir / f"{rank:03d}_{owner_id}_{image_id}.pgm", images[key])
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -217,14 +213,9 @@ def cmd_update(args) -> int:
     sk = kmc.owner_key(args.owner)
 
     if args.add:
-        items = []
-        for path in sorted(Path(args.add).glob("*.pgm")):
-            image, _ = read_pgm(path)
-            feature = extract_ehd(image)
-            enc = feature_crypto.encrypt_feature_pair(
-                params, feature, derive_seed(seed, f"add:{path.stem}")
-            )
-            items.append((path.stem, image_enc(sk, image), enc))
+        images = [(path.stem, read_pgm(path)[0])
+                  for path in sorted(Path(args.add).glob("*.pgm"))]
+        items, _ = encrypt_uploads(params, sk, images, seed, "add:")
         cloud.apply_update(args.owner, AddImages(tuple(items)))
         print(f"added {len(items)} images to {args.owner}")
     elif args.delete:
@@ -236,16 +227,10 @@ def cmd_update(args) -> int:
         record = cloud.owner_record(args.owner)
         ordinal = _next_session(store)
         before = cloud.index
-        items = []
-        for image_id in ids:
-            stored = record.images[image_id]
-            plain = image_dec(sk, stored.enc_image)
-            feature = extract_ehd(plain)
-            enc = feature_crypto.encrypt_feature_pair(
-                params, feature,
-                derive_seed(seed, f"reenc:{ordinal}:{image_id}"),
-            )
-            items.append((image_id, stored.enc_image, enc))
+        # image_enc(sk, image_dec(sk, e)) == e, so the stored images come back
+        # unchanged and only the features are re-encrypted
+        images = [(iid, image_dec(sk, record.images[iid].enc_image)) for iid in ids]
+        items, _ = encrypt_uploads(params, sk, images, seed, f"reenc:{ordinal}:")
         cloud.apply_update(args.owner, UpdateImages(tuple(items)))
         unchanged = cloud.index == before
         print(f"re-encrypted {len(ids)} features for {args.owner}; "

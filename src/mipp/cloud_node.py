@@ -5,8 +5,9 @@ authorized-user list per owner.  At registration it aggregates each feature
 pair once and keeps the recovered sums (s1, s2) in the retrieval index; this
 is the scheme's deliberate leakage surface (the cloud learns per-image sums,
 nothing entrywise).  Queries are scored against index rows with exact
-integer keys; the slower path that re-aggregates ciphertexts per query is
-kept only for benchmark comparison.
+integer keys.  ``retrieve_top_h(use_index=False)`` re-aggregates every
+stored ciphertext per query instead; it is the reference the index path is
+checked and timed against.
 
 Readers work over an immutable index snapshot; registration and updates
 take an exclusive lock and atomically publish a new snapshot, so no
@@ -304,6 +305,12 @@ class CloudNode:
     def _publish(self) -> None:
         self._index = tuple(self._rows[key] for key in sorted(self._rows))
 
+    def index_table(self) -> str:
+        """The retrieval index as the text of ``index.tsv``."""
+        lines = [INDEX_HEADER]
+        lines += [f"{e.owner_id}\t{e.image_id}\t{e.s1}\t{e.s2}" for e in self._index]
+        return "\n".join(lines) + "\n"
+
     # -- on-disk layout ----------------------------------------------------
 
     def save_store(self, root: str | Path) -> None:
@@ -318,12 +325,7 @@ class CloudNode:
         root.mkdir(parents=True, exist_ok=True)
         if (root / "owners").exists():
             shutil.rmtree(root / "owners")
-        lines = [INDEX_HEADER]
-        for entry in self._index:
-            lines.append(
-                f"{entry.owner_id}\t{entry.image_id}\t{entry.s1}\t{entry.s2}"
-            )
-        (root / "index.tsv").write_text("\n".join(lines) + "\n")
+        (root / "index.tsv").write_text(self.index_table())
 
         for owner_id, record in sorted(self._owners.items()):
             base = root / "owners" / owner_id
@@ -354,11 +356,13 @@ class CloudNode:
             if len(manifest) < 2 or manifest[0] != MANIFEST_HEADER:
                 raise ValueError(f"{base}: malformed manifest")
             owner_id = manifest[1]
-            aul = frozenset(
-                (ln.split("\t")[0], bytes.fromhex(ln.split("\t")[1]))
-                for ln in manifest[2:]
-            )
-            record = OwnerRecord(owner_id=owner_id, aul=aul)
+            aul = set()
+            for number, ln in enumerate(manifest[2:], 3):
+                uid, tab, ak_hex = ln.partition("\t")
+                if not tab:
+                    raise ValueError(f"{base / 'manifest'}: line {number} has no tab")
+                aul.add((uid, bytes.fromhex(ak_hex)))
+            record = OwnerRecord(owner_id=owner_id, aul=frozenset(aul))
             for pgm in sorted((base / "img").glob("*.pgm")):
                 image_id = pgm.stem
                 enc_image, _ = read_pgm(pgm)

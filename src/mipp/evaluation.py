@@ -10,10 +10,10 @@ ranking can see it while the sum-based encrypted ranking cannot; that is
 what produces the concentrated-versus-uniform leakage profiles measured
 here.
 
-The benchmark compares plain retrieval, encrypted retrieval that
-re-aggregates every ciphertext per query, encrypted retrieval over the
-precomputed index, and index construction itself, plus a storage report for
-the serialized features and index.
+The benchmark times the real cloud: ``CloudNode.register_owner`` builds the
+index, ``CloudNode.retrieve_top_h`` ranks with and without it, and the
+plaintext baseline is the user's Euclidean re-rank.  Its storage report
+measures the serialized features and the cloud's ``index.tsv`` table.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import feature_crypto, group_crypto
-from .cloud_node import INDEX_HEADER
+from .cloud_node import CloudNode, QueryEnvelope
 from .ehd_features import extract_ehd
 from .group_crypto import GroupParams
 from .image_cipher import read_pgm, write_pgm
-from .protocol_sim import World
+from .protocol_sim import World, rank_by_euclidean
 from .rng import derive_seed
-from .similarity import SumPair, rank_key
 
 log = logging.getLogger(__name__)
 
@@ -413,22 +412,17 @@ def run_retrieval_experiment(
         )
 
     # plaintext features, reused for the Euclidean baseline
-    plain = {
-        item_id: world.owners[oid].plain_features[item_id]
+    plain = [
+        (oid, item_id, feature)
         for oid, actor in world.owners.items()
-        for item_id in actor.plain_features
-    }
-    owner_of = {item.item_id: item.owner_id for item in corpus.items}
+        for item_id, feature in actor.plain_features.items()
+    ]
     labels = corpus.labels()
 
     def run_one(arg: tuple[str, tuple[str, np.ndarray]]) -> QueryOutcome:
         uid, (label, image) = arg
         session = world.run_session(uid, image)
-        qf = extract_ehd(image, world.ehd_cfg)
-        scored = sorted(
-            (int(((f - qf) ** 2).sum()), owner_of[item_id], item_id)
-            for item_id, f in plain.items()
-        )
+        scored = rank_by_euclidean(extract_ehd(image), plain)
         return QueryOutcome(
             query_label=label,
             rankings={
@@ -526,7 +520,7 @@ class StorageReport:
 @dataclass(frozen=True)
 class BenchReport:
     rows: tuple[BenchRow, ...]
-    storage: StorageReport | None
+    storage: StorageReport
     rankings_match: bool
 
 
@@ -541,12 +535,16 @@ def bench(
     reps: int = 5,
     dims: int = 80,
     top_h: int = 100,
-    with_storage: bool = True,
 ) -> BenchReport:
-    """Time the retrieval paths over synthetic features of each size.
+    """Time the cloud's retrieval paths over synthetic features of each size.
 
-    Rankings of the two encrypted paths are checked for equality; wall
-    clock medians are taken over ``reps`` runs per size and mode.
+    One owner holds ``size`` features in a ``CloudNode``.  ``index_build``
+    times its ``register_owner``; ``enc_with_index`` and ``enc_no_index``
+    time ``retrieve_top_h`` with and without the index; ``plain`` ranks the
+    plaintext vectors by Euclidean distance.  The rankings of the two
+    encrypted paths are checked for equality; wall clock medians are taken
+    over ``reps`` runs per size and mode.  The storage report covers the
+    largest size.
     """
     sizes = list(sizes)
     if sizes != sorted(sizes) or not sizes:
@@ -562,93 +560,70 @@ def bench(
     rng = np.random.default_rng(int.from_bytes(derive_seed(seed, b"vectors")[:8], "big"))
     largest = sizes[-1]
     vectors = rng.integers(0, 256, size=(largest, dims))
+    ids = [f"img-{i:05d}" for i in range(largest)]
     features = [
         feature_crypto.encrypt_feature_pair(params, vectors[i], derive_seed(seed, f"v{i}"))
         for i in range(largest)
     ]
-    sums = [
-        SumPair(s1=int(vectors[i].sum()), s2=int((vectors[i].astype(object) ** 2).sum()),
-                l=dims)
-        for i in range(largest)
-    ]
     query_vec = rng.integers(0, 256, size=dims)
-    query_enc = feature_crypto.encrypt_feature_pair(params, query_vec, derive_seed(seed, b"q"))
-    qs1, qs2 = feature_crypto.recover_sums(params, query_enc)
-    query = SumPair(s1=qs1, s2=qs2, l=dims)
-    query_plain = [int(v) for v in query_vec]
+    query = QueryEnvelope(
+        eq=feature_crypto.encrypt_feature_pair(params, query_vec, derive_seed(seed, b"q")),
+        uid="bench-user",
+        ak=derive_seed(seed, b"ak"),
+        h=top_h,
+    )
+    owner = "owner-1"
+    # the cloud never looks inside the images, so one pixel stands in
+    blank = np.zeros((1, 1), dtype=np.uint8)
 
-    def rank_plain(n):
-        scored = sorted(
-            (sum((int(a) - b) ** 2 for a, b in zip(vectors[i], query_plain)), i)
-            for i in range(n)
+    def build_cloud(n: int) -> CloudNode:
+        cloud = CloudNode(params)
+        cloud.register_owner(
+            owner,
+            [(query.uid, query.ak)],
+            [(ids[i], blank, features[i]) for i in range(n)],
         )
-        return [i for _, i in scored[:top_h]]
+        return cloud
 
-    def rank_with_index(n):
-        scored = sorted((rank_key(query, sums[i]), i) for i in range(n))
-        return [i for _, i in scored[:top_h]]
+    def run(mode: str, size: int, cloud: CloudNode):
+        if mode == "plain":
+            return rank_by_euclidean(
+                query_vec, ((owner, ids[i], vectors[i]) for i in range(size))
+            )[:top_h]
+        if mode == "index_build":
+            return build_cloud(size)
+        return [(r.owner_id, r.image_id)
+                for r in cloud.retrieve_top_h(query, use_index=mode == "enc_with_index")]
 
-    def rank_no_index(n):
-        scored = []
-        for i in range(n):
-            s1 = group_crypto.aggregate_and_recover(params, features[i].ef)
-            s2 = group_crypto.aggregate_and_recover(params, features[i].eff)
-            scored.append((rank_key(query, SumPair(s1=s1, s2=s2, l=dims)), i))
-        scored.sort()
-        return [i for _, i in scored[:top_h]]
-
-    def build_index(n):
-        return [
-            (
-                group_crypto.aggregate_and_recover(params, features[i].ef),
-                group_crypto.aggregate_and_recover(params, features[i].eff),
-            )
-            for i in range(n)
-        ]
-
-    runners = {
-        "plain": rank_plain,
-        "enc_no_index": rank_no_index,
-        "enc_with_index": rank_with_index,
-        "index_build": build_index,
-    }
-
+    full = build_cloud(largest)
     rows = []
     rankings_match = True
     try:
         for size in sizes:
+            cloud = full if size == largest else build_cloud(size)
             for mode in modes:
-                runner = runners[mode]
                 timings = []
                 result = None
                 for _ in range(reps):
                     start = time.perf_counter()
-                    result = runner(size)
+                    result = run(mode, size, cloud)
                     timings.append(time.perf_counter() - start)
                 rows.append(
                     BenchRow(size=size, mode=mode,
                              median_seconds=statistics.median(timings), reps=reps)
                 )
                 if mode == "enc_no_index" and "enc_with_index" in modes:
-                    rankings_match = rankings_match and result == rank_with_index(size)
+                    rankings_match = rankings_match and result == run(
+                        "enc_with_index", size, cloud
+                    )
     except KeyboardInterrupt:
         log.warning("benchmark interrupted; reporting %d completed rows", len(rows))
 
-    storage = None
-    if with_storage:
-        feature_bytes = sum(
-            len(feature_crypto.feature_to_text(f).encode()) for f in features
-        )
-        index_lines = [INDEX_HEADER]
-        index_lines += [
-            f"owner-1\timg-{i:05d}\t{sums[i].s1}\t{sums[i].s2}"
-            for i in range(largest)
-        ]
-        storage = StorageReport(
-            n_features=largest,
-            feature_bytes=feature_bytes,
-            index_bytes=len(("\n".join(index_lines) + "\n").encode()),
-        )
+    storage = StorageReport(
+        n_features=largest,
+        feature_bytes=sum(len(feature_crypto.feature_to_text(f).encode()) for f in features),
+        index_bytes=len(full.index_table().encode()),
+    )
     return BenchReport(rows=tuple(rows), storage=storage, rankings_match=rankings_match)
 
 
@@ -680,12 +655,11 @@ def bench_tsv(report: BenchReport) -> str:
     lines = ["size\tmode\tmedian_seconds\treps"]
     for row in report.rows:
         lines.append(f"{row.size}\t{row.mode}\t{row.median_seconds:.6f}\t{row.reps}")
-    if report.storage:
-        s = report.storage
-        lines.append("")
-        lines.append("storage\tn_features\tfeature_bytes\tindex_bytes\tratio")
-        lines.append(
-            f"storage\t{s.n_features}\t{s.feature_bytes}\t{s.index_bytes}"
-            f"\t{s.ratio:.6f}"
-        )
+    s = report.storage
+    lines.append("")
+    lines.append("storage\tn_features\tfeature_bytes\tindex_bytes\tratio")
+    lines.append(
+        f"storage\t{s.n_features}\t{s.feature_bytes}\t{s.index_bytes}"
+        f"\t{s.ratio:.6f}"
+    )
     return "\n".join(lines) + "\n"

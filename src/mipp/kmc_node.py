@@ -114,8 +114,9 @@ class KmcNode:
     ) -> list[tuple[str, str, np.ndarray]]:
         """Re-encrypt each (owner_id, image_id, image) for the query user.
 
-        Order and cardinality are preserved.  The user key is discarded on
-        success and its digest retained for the reuse check.
+        Order and cardinality are preserved.  The user key is discarded
+        before any image is touched, so it serves exactly one call even if
+        that call fails, and its digest is retained for the reuse check.
         """
         with self._lock:
             if uid not in self._user_keys:
@@ -126,15 +127,15 @@ class KmcNode:
                     f"key for user {uid!r} bound to session {bound_session!r}, "
                     f"not {session!r}"
                 )
+            # spend the key before using it, so no other call can use it too
+            del self._user_keys[uid]
+            self._spent_user_digests.setdefault(uid, set()).add(
+                hashlib.sha256(usk).digest()
+            )
         out = []
         for owner_id, image_id, enc_image in er:
             plain = image_dec(self.owner_key(owner_id), enc_image)
             out.append((owner_id, image_id, image_enc(usk, plain)))
-        with self._lock:
-            self._user_keys.pop(uid, None)
-            self._spent_user_digests.setdefault(uid, set()).add(
-                hashlib.sha256(usk).digest()
-            )
         return out
 
     # -- persistence ---------------------------------------------------------

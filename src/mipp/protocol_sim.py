@@ -28,7 +28,7 @@ import numpy as np
 
 from . import feature_crypto
 from .cloud_node import CloudNode, QueryEnvelope
-from .ehd_features import DEFAULT_CONFIG, EhdConfig, extract_ehd
+from .ehd_features import extract_ehd
 from .feature_crypto import EncryptedFeature
 from .group_crypto import GroupParams
 from .image_cipher import image_dec, image_enc, keygen
@@ -102,17 +102,6 @@ class CloudToUser:
     results: tuple[tuple[str, str, np.ndarray], ...]
 
 
-_PAYLOAD_TYPES = {
-    MessageKind.OWNER_UPLOAD: OwnerUpload,
-    MessageKind.OWNER_KEY_DEPOSIT: OwnerKeyDeposit,
-    MessageKind.USER_QUERY: UserQuery,
-    MessageKind.USER_KEY_DEPOSIT: UserKeyDeposit,
-    MessageKind.CLOUD_TO_KMC: CloudToKmc,
-    MessageKind.KMC_TO_CLOUD: KmcToCloud,
-    MessageKind.CLOUD_TO_USER: CloudToUser,
-}
-
-
 @dataclass(frozen=True)
 class Message:
     kind: MessageKind
@@ -122,7 +111,7 @@ class Message:
     def __post_init__(self):
         if len(self.session) != SESSION_ID_BYTES:
             raise ValueError(f"session id must be {SESSION_ID_BYTES} bytes")
-        expected = _PAYLOAD_TYPES[self.kind]
+        expected = _WIRE[self.kind][0]
         if not isinstance(self.payload, expected):
             raise TypeError(
                 f"{self.kind.name} payload must be {expected.__name__}"
@@ -147,6 +136,10 @@ def _w_str(out: bytearray, s: str) -> None:
 
 def _w_bytes(out: bytearray, b: bytes) -> None:
     out += struct.pack(">I", len(b)) + b
+
+
+def _w_u32(out: bytearray, value: int) -> None:
+    out += struct.pack(">I", value)
 
 
 def _w_bigint(out: bytearray, value: int) -> None:
@@ -181,6 +174,22 @@ def _w_results(out: bytearray, results) -> None:
         _w_str(out, owner_id)
         _w_str(out, image_id)
         _w_image(out, img)
+
+
+def _w_aul(out: bytearray, aul) -> None:
+    entries = sorted((uid, bytes(ak)) for uid, ak in aul)
+    out += struct.pack(">I", len(entries))
+    for uid, ak in entries:
+        _w_str(out, uid)
+        _w_bytes(out, ak)
+
+
+def _w_uploads(out: bytearray, images) -> None:
+    out += struct.pack(">I", len(images))
+    for image_id, img, feature in images:
+        _w_str(out, image_id)
+        _w_image(out, img)
+        _w_feature(out, feature)
 
 
 class _Reader:
@@ -242,42 +251,44 @@ class _Reader:
             (self.r_str(), self.r_str(), self.r_image()) for _ in range(count)
         )
 
+    def r_aul(self) -> tuple[tuple[str, bytes], ...]:
+        return tuple((self.r_str(), self.r_bytes()) for _ in range(self.u32()))
+
+    def r_uploads(self) -> tuple[tuple[str, np.ndarray, EncryptedFeature], ...]:
+        return tuple(
+            (self.r_str(), self.r_image(), self.r_feature()) for _ in range(self.u32())
+        )
+
+
+# Each kind's payload type and its fields in wire order, with the writer
+# and reader of each field.
+_STR = (_w_str, _Reader.r_str)
+_BYTES = (_w_bytes, _Reader.r_bytes)
+_U32 = (_w_u32, _Reader.u32)
+_FEATURE = (_w_feature, _Reader.r_feature)
+_RESULTS = (_w_results, _Reader.r_results)
+_WIRE = {
+    MessageKind.OWNER_UPLOAD: (OwnerUpload, (
+        ("owner_id", _STR), ("aul", (_w_aul, _Reader.r_aul)),
+        ("images", (_w_uploads, _Reader.r_uploads)),
+    )),
+    MessageKind.OWNER_KEY_DEPOSIT: (OwnerKeyDeposit, (("owner_id", _STR), ("sk", _BYTES))),
+    MessageKind.USER_QUERY: (UserQuery, (
+        ("uid", _STR), ("ak", _BYTES), ("h", _U32), ("eq", _FEATURE),
+    )),
+    MessageKind.USER_KEY_DEPOSIT: (UserKeyDeposit, (("uid", _STR), ("usk", _BYTES))),
+    MessageKind.CLOUD_TO_KMC: (CloudToKmc, (
+        ("uid", _STR), ("ak", _BYTES), ("results", _RESULTS),
+    )),
+    MessageKind.KMC_TO_CLOUD: (KmcToCloud, (("uid", _STR), ("results", _RESULTS))),
+    MessageKind.CLOUD_TO_USER: (CloudToUser, (("uid", _STR), ("results", _RESULTS))),
+}
+
 
 def encode_message(m: Message) -> bytes:
     body = bytearray()
-    p = m.payload
-    if isinstance(p, OwnerUpload):
-        _w_str(body, p.owner_id)
-        entries = sorted((uid, bytes(ak)) for uid, ak in p.aul)
-        body += struct.pack(">I", len(entries))
-        for uid, ak in entries:
-            _w_str(body, uid)
-            _w_bytes(body, ak)
-        body += struct.pack(">I", len(p.images))
-        for image_id, img, feature in p.images:
-            _w_str(body, image_id)
-            _w_image(body, img)
-            _w_feature(body, feature)
-    elif isinstance(p, OwnerKeyDeposit):
-        _w_str(body, p.owner_id)
-        _w_bytes(body, p.sk)
-    elif isinstance(p, UserQuery):
-        _w_str(body, p.uid)
-        _w_bytes(body, p.ak)
-        body += struct.pack(">I", p.h)
-        _w_feature(body, p.eq)
-    elif isinstance(p, UserKeyDeposit):
-        _w_str(body, p.uid)
-        _w_bytes(body, p.usk)
-    elif isinstance(p, CloudToKmc):
-        _w_str(body, p.uid)
-        _w_bytes(body, p.ak)
-        _w_results(body, p.results)
-    elif isinstance(p, (KmcToCloud, CloudToUser)):
-        _w_str(body, p.uid)
-        _w_results(body, p.results)
-    else:
-        raise TypeError(f"unknown payload {type(p).__name__}")
+    for name, (write, _) in _WIRE[m.kind][1]:
+        write(body, getattr(m.payload, name))
 
     frame = bytearray()
     frame += struct.pack(">I", 1 + SESSION_ID_BYTES + len(body))
@@ -301,35 +312,8 @@ def decode_message(data: bytes) -> Message:
         raise DecodeError(f"unknown message kind {kind_value}", 4) from None
     session = reader.take(SESSION_ID_BYTES)
 
-    if kind is MessageKind.OWNER_UPLOAD:
-        owner_id = reader.r_str()
-        aul = tuple(
-            (reader.r_str(), reader.r_bytes()) for _ in range(reader.u32())
-        )
-        images = tuple(
-            (reader.r_str(), reader.r_image(), reader.r_feature())
-            for _ in range(reader.u32())
-        )
-        payload: object = OwnerUpload(owner_id=owner_id, aul=aul, images=images)
-    elif kind is MessageKind.OWNER_KEY_DEPOSIT:
-        payload = OwnerKeyDeposit(owner_id=reader.r_str(), sk=reader.r_bytes())
-    elif kind is MessageKind.USER_QUERY:
-        payload = UserQuery(
-            uid=reader.r_str(),
-            ak=reader.r_bytes(),
-            h=reader.u32(),
-            eq=reader.r_feature(),
-        )
-    elif kind is MessageKind.USER_KEY_DEPOSIT:
-        payload = UserKeyDeposit(uid=reader.r_str(), usk=reader.r_bytes())
-    elif kind is MessageKind.CLOUD_TO_KMC:
-        payload = CloudToKmc(
-            uid=reader.r_str(), ak=reader.r_bytes(), results=reader.r_results()
-        )
-    elif kind is MessageKind.KMC_TO_CLOUD:
-        payload = KmcToCloud(uid=reader.r_str(), results=reader.r_results())
-    else:
-        payload = CloudToUser(uid=reader.r_str(), results=reader.r_results())
+    payload_type, fields = _WIRE[kind]
+    payload = payload_type(**{name: read(reader) for name, (_, read) in fields})
 
     if reader.offset != len(data):
         raise DecodeError("trailing bytes after message body", reader.offset)
@@ -385,6 +369,63 @@ class SessionTranscript:
         Path(path).write_text(self.to_text())
 
 
+# -- client steps ----------------------------------------------------------------
+
+
+def encrypt_uploads(
+    params: GroupParams,
+    sk: bytes,
+    images: Iterable[tuple[str, np.ndarray]],
+    seed: bytes | str,
+    label: str,
+) -> tuple[list[tuple[str, np.ndarray, EncryptedFeature]], dict[str, np.ndarray]]:
+    """The owner's step 1 for a batch of images.
+
+    Each image's EHD is encrypted as a feature pair under
+    ``derive_seed(seed, label + image_id)`` and the image is XORed with the
+    owner keystream ``sk``.  Returns the (image id, encrypted image,
+    encrypted feature) triples to upload, and the plaintext features.
+    """
+    uploads = []
+    features = {}
+    for image_id, img in images:
+        feature = extract_ehd(img)
+        enc = feature_crypto.encrypt_feature_pair(
+            params, feature, derive_seed(seed, label + image_id)
+        )
+        uploads.append((image_id, image_enc(sk, img), enc))
+        features[image_id] = feature
+    return uploads, features
+
+
+def rank_by_euclidean(
+    query_feature: np.ndarray, candidates: Iterable[tuple[str, str, np.ndarray]]
+) -> list[tuple[int, str, str]]:
+    """(squared distance, owner id, image id) per candidate feature, nearest
+    first; equal distances go by (owner id, image id)."""
+    return sorted(
+        (int(((feature - query_feature) ** 2).sum()), owner_id, image_id)
+        for owner_id, image_id, feature in candidates
+    )
+
+
+def decrypt_and_rerank(
+    usk: bytes,
+    query_feature: np.ndarray,
+    delivered: Iterable[tuple[str, str, np.ndarray]],
+) -> tuple[dict[tuple[str, str], np.ndarray], list[tuple[int, str, str]]]:
+    """The user's last step: decrypt each delivered image under ``usk``,
+    re-extract its EHD and re-rank by plaintext Euclidean distance.
+
+    Returns the plaintext images by (owner id, image id) and the ranking.
+    """
+    images = {(o, i): image_dec(usk, enc_img) for o, i, enc_img in delivered}
+    ranked = rank_by_euclidean(
+        query_feature, ((o, i, extract_ehd(img)) for (o, i), img in images.items())
+    )
+    return images, ranked
+
+
 # -- actors and the world ------------------------------------------------------
 
 
@@ -427,13 +468,11 @@ class World:
         seed: bytes | str,
         top_h: int = 100,
         max_image_pixels: int = 256 * 256,
-        ehd_cfg: EhdConfig = DEFAULT_CONFIG,
     ):
         self.params = params
         self.seed = seed
         self.top_h = top_h
         self.max_image_pixels = max_image_pixels
-        self.ehd_cfg = ehd_cfg
         self.cloud = CloudNode(params)
         self.kmc = KmcNode(known_owners=[], known_users=[])
         self.owners: dict[str, OwnerActor] = {}
@@ -470,19 +509,9 @@ class World:
         sk = keygen(
             128, self.max_image_pixels, derive_seed(self.seed, f"owner-sk:{owner_id}")
         )
-        plain_images: dict[str, np.ndarray] = {}
-        plain_features: dict[str, np.ndarray] = {}
-        uploads = []
-        for image_id, img in images:
-            feature = extract_ehd(img, self.ehd_cfg)
-            enc = feature_crypto.encrypt_feature_pair(
-                self.params,
-                feature,
-                derive_seed(self.seed, f"feature:{owner_id}:{image_id}"),
-            )
-            uploads.append((image_id, image_enc(sk, img), enc))
-            plain_images[image_id] = img
-            plain_features[image_id] = feature
+        uploads, plain_features = encrypt_uploads(
+            self.params, sk, images, self.seed, f"feature:{owner_id}:"
+        )
 
         aul = tuple(sorted((uid, self.users[uid].ak) for uid in authorize))
         setup_session = ByteStream(
@@ -507,7 +536,7 @@ class World:
         actor = OwnerActor(
             owner_id=owner_id,
             sk=sk,
-            plain_images=plain_images,
+            plain_images=dict(images),
             plain_features=plain_features,
         )
         self.owners[owner_id] = actor
@@ -534,7 +563,7 @@ class World:
         ).take(SESSION_ID_BYTES)
         transcript = SessionTranscript()
 
-        query_feature = extract_ehd(query_image, self.ehd_cfg)
+        query_feature = extract_ehd(query_image)
         eq = feature_crypto.encrypt_feature_pair(
             self.params,
             query_feature,
@@ -611,16 +640,7 @@ class World:
         )
         delivered = self._send(7, to_user, transcript, lambda m: m.payload.results)
 
-        images: dict[tuple[str, str], np.ndarray] = {}
-        ranked: list[tuple[int, str, str]] = []
-        for owner_id, image_id, enc_img in delivered:
-            plain = image_dec(usk, enc_img)
-            images[(owner_id, image_id)] = plain
-            local = extract_ehd(plain, self.ehd_cfg)
-            gap = int(((local - query_feature) ** 2).sum())
-            ranked.append((gap, owner_id, image_id))
-        ranked.sort()
-
+        images, ranked = decrypt_and_rerank(usk, query_feature, delivered)
         return SessionResult(
             session=session.hex(),
             authorized=True,

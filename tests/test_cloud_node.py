@@ -260,3 +260,12 @@ def test_unsafe_ids_rejected():
     cloud = CloudNode(PARAMS)
     with pytest.raises(ValueError):
         cloud.register_owner("bad/owner", aul=[], images=[])
+
+
+def test_manifest_line_without_tab_names_the_file(tmp_path):
+    cloud = make_cloud()
+    cloud.save_store(tmp_path / "store")
+    manifest = tmp_path / "store" / "owners" / "owner-1" / "manifest"
+    manifest.write_text(manifest.read_text() + "alice\n")
+    with pytest.raises(ValueError, match="owner-1/manifest: line 4 has no tab"):
+        CloudNode.load_store(tmp_path / "store", PARAMS)

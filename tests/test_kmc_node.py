@@ -128,3 +128,87 @@ def test_vault_roundtrip(tmp_path):
     assert loaded.owner_key("o1") == b"\xaa\xbb"
     assert loaded.owner_key("o2") == b"\xcc" * 4
     assert not loaded.has_user_key("u1")
+
+
+def test_reencrypt_spends_key_before_use(monkeypatch):
+    # a second call for the same session, made while the first is still
+    # re-encrypting, must find the key already spent
+    from mipp import kmc_node
+
+    kmc = KmcNode()
+    w = img(8)
+    sk = keygen(128, w.size, b"sk")
+    usk = keygen(128, w.size, b"usk")
+    kmc.store_owner_key("o1", sk)
+    kmc.store_user_key("u1", usk, "s1")
+    er = [("o1", "im1", image_enc(sk, w))]
+    nested = []
+    real_dec = kmc_node.image_dec
+
+    def reentrant_dec(key, data):
+        if not nested:
+            nested.append("entered")
+            try:
+                kmc.reencrypt_results(er, "u1", "s1")
+                nested.append("reused")
+            except SessionError:
+                nested.append("refused")
+        return real_dec(key, data)
+
+    monkeypatch.setattr(kmc_node, "image_dec", reentrant_dec)
+    ner = kmc.reencrypt_results(er, "u1", "s1")
+    assert nested == ["entered", "refused"]
+    assert np.array_equal(image_dec(usk, ner[0][2]), w)
+    assert not kmc.has_user_key("u1")
+    with pytest.raises(KeyReuseError):
+        kmc.store_user_key("u1", usk, "s2")
+
+
+def test_wrong_session_leaves_key_in_place():
+    kmc = KmcNode()
+    w = img(9)
+    sk = keygen(128, w.size, b"sk")
+    usk = keygen(128, w.size, b"usk")
+    kmc.store_owner_key("o1", sk)
+    kmc.store_user_key("u1", usk, "s1")
+    er = [("o1", "im1", image_enc(sk, w))]
+    with pytest.raises(SessionError):
+        kmc.reencrypt_results(er, "u1", "other-session")
+    assert kmc.has_user_key("u1")
+    ner = kmc.reencrypt_results(er, "u1", "s1")
+    assert np.array_equal(image_dec(usk, ner[0][2]), w)
+
+
+def test_concurrent_reencrypt_spends_key_once():
+    import sys
+    import threading
+
+    kmc = KmcNode()
+    images = [img(20 + i) for i in range(20)]
+    sk = keygen(128, images[0].size, b"sk")
+    kmc.store_owner_key("o1", sk)
+    kmc.store_user_key("u1", keygen(128, images[0].size, b"usk"), "s1")
+    er = [("o1", f"im{i}", image_enc(sk, w)) for i, w in enumerate(images)]
+    start = threading.Barrier(8)
+    outcomes = []
+
+    def worker():
+        start.wait(timeout=10)
+        try:
+            kmc.reencrypt_results(er, "u1", "s1")
+            outcomes.append("used")
+        except SessionError:
+            outcomes.append("refused")
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(outcomes) == ["refused"] * 7 + ["used"]
