@@ -42,8 +42,10 @@ def _load_store(store: Path):
     lines = (store / "users.tsv").read_text().strip().splitlines()
     if not lines or lines[0] != USERS_HEADER:
         raise ValueError("users.tsv missing or malformed")
-    for ln in lines[1:]:
-        uid, ak_hex = ln.split("\t")
+    for number, ln in enumerate(lines[1:], 2):
+        uid, tab, ak_hex = ln.partition("\t")
+        if not tab:
+            raise ValueError(f"{store / 'users.tsv'}: line {number} has no tab")
         users[uid] = bytes.fromhex(ak_hex)
     return params, cloud, kmc, users
 

@@ -4,24 +4,29 @@ The cloud stores encrypted images and encrypted features per owner, plus an
 authorized-user list per owner.  At registration it aggregates each feature
 pair once and keeps the recovered sums (s1, s2) in the retrieval index; this
 is the scheme's deliberate leakage surface (the cloud learns per-image sums,
-nothing entrywise).  Queries are scored against index rows with exact
-integer keys.  ``retrieve_top_h(use_index=False)`` re-aggregates every
-stored ciphertext per query instead; it is the reference the index path is
-checked and timed against.
+nothing entrywise).  Queries are ranked over index rows by
+``similarity.top_h`` with exact integer keys.
+``retrieve_top_h(use_index=False)`` makes the same ranking call over sums
+re-aggregated from every stored ciphertext instead; it is the reference
+the index path is checked and timed against.
 
-Readers work over an immutable index snapshot; registration and updates
-take an exclusive lock and atomically publish a new snapshot, so no
-retrieval ever observes a half-applied update.
+A cloud holds one feature dimension, set by the first feature it accepts;
+every feature and query that comes in later must match it.  One lock
+serves readers and writers: queries and ``verify_user`` read under it,
+registration and updates hold it while they change the records and
+publish a new sorted index tuple, so no retrieval ever observes a
+half-applied update.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import shutil
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from . import feature_crypto
 from .feature_crypto import EncryptedFeature
 from .group_crypto import GroupParams
 from .image_cipher import read_pgm, write_pgm
-from .similarity import CorruptedSumsError, SumPair, rank_key
+from .similarity import CorruptedSumsError, SumPair, top_h
 
 INDEX_HEADER = "owner_id\timage_id\ts1\ts2"
 MANIFEST_HEADER = "MIPP-OWNER-1"
@@ -61,22 +66,13 @@ class AuthorizationError(CloudError):
     """Query user not present in any owner's authorized-user list."""
 
 
-@dataclass(frozen=True)
-class IndexEntry:
-    """One retrieval-index row: owner, image, and the two recovered sums.
-
-    ``dims`` is the feature dimension, carried in memory because scoring
-    needs it; the on-disk table keeps only the four columns.
-    """
+class IndexEntry(NamedTuple):
+    """One retrieval-index row: the four columns of ``index.tsv``."""
 
     owner_id: str
     image_id: str
     s1: int
     s2: int
-    dims: int
-
-    def sum_pair(self) -> SumPair:
-        return SumPair(s1=self.s1, s2=self.s2, l=self.dims)
 
 
 @dataclass(frozen=True)
@@ -131,10 +127,9 @@ class UpdateImages:
     items: tuple[tuple[str, np.ndarray, EncryptedFeature], ...]
 
 
-def _check_id(value: str, what: str) -> str:
+def _check_id(value: str, what: str) -> None:
     if not _SAFE_ID.match(value):
         raise ValueError(f"{what} {value!r} must match {_SAFE_ID.pattern}")
-    return value
 
 
 class CloudNode:
@@ -145,7 +140,8 @@ class CloudNode:
         self._owners: dict[str, OwnerRecord] = {}
         self._rows: dict[tuple[str, str], IndexEntry] = {}
         self._index: tuple[IndexEntry, ...] = ()
-        self._lock = threading.Lock()
+        self._dims: int | None = None
+        self._lock = threading.RLock()
 
     @property
     def index(self) -> tuple[IndexEntry, ...]:
@@ -176,69 +172,49 @@ class CloudNode:
                 owner_id=owner_id,
                 aul=frozenset((uid, bytes(ak)) for uid, ak in aul),
             )
-            new_rows = {}
-            for image_id, enc_image, feature in images:
-                _check_id(image_id, "image id")
-                if image_id in record.images:
-                    raise DuplicateImageError(f"{owner_id}/{image_id}")
-                record.images[image_id] = StoredImage(enc_image, feature)
-                new_rows[(owner_id, image_id)] = self._make_row(
-                    owner_id, image_id, feature
-                )
+            added = self._add_images(record, images)
             self._owners[owner_id] = record
-            self._rows.update(new_rows)
             self._publish()
-            return len(new_rows)
+            return added
 
     def verify_user(self, uid: str, ak: bytes) -> set[str]:
         """Owners whose authorized-user list contains (uid, ak)."""
         token = (uid, bytes(ak))
-        return {oid for oid, rec in self._owners.items() if token in rec.aul}
+        with self._lock:
+            return {oid for oid, rec in self._owners.items() if token in rec.aul}
 
     def retrieve_top_h(
         self, q: QueryEnvelope, use_index: bool = True
     ) -> list[RetrievalResult]:
         """Rank all authorized images by encrypted-domain distance.
 
-        The query sums are recovered once; with ``use_index`` each row costs
-        a handful of integer operations, without it every stored ciphertext
-        pair is re-aggregated.  Both paths return identical rankings.
+        The query sums are recovered once; with ``use_index`` the rows'
+        ``(s1, s2)`` come from the index, without it from re-aggregating
+        every stored ciphertext pair.  Both paths make the same ranking call
+        and return identical rankings.
         """
-        authorized = self.verify_user(q.uid, q.ak)
-        if not authorized:
-            raise AuthorizationError(f"user {q.uid!r} matches no owner's list")
-        qs1, qs2 = feature_crypto.recover_sums(self.params, q.eq)
-        query = SumPair(s1=qs1, s2=qs2, l=q.eq.dims)
-
-        snapshot = self._index
-        scored: list[tuple[int, str, str]] = []
-        if use_index:
-            for entry in snapshot:
-                if entry.owner_id in authorized:
-                    key = rank_key(query, entry.sum_pair())
-                    scored.append((key, entry.owner_id, entry.image_id))
-        else:
-            for entry in snapshot:
-                if entry.owner_id not in authorized:
-                    continue
-                stored = self._owners[entry.owner_id].images[entry.image_id]
-                s1, s2 = feature_crypto.recover_sums(self.params, stored.feature)
-                key = rank_key(query, SumPair(s1=s1, s2=s2, l=stored.feature.dims))
-                scored.append((key, entry.owner_id, entry.image_id))
-
-        scored.sort()
-        results = []
-        for key, owner_id, image_id in scored[: q.h]:
-            stored = self._owners[owner_id].images[image_id]
-            results.append(
+        with self._lock:
+            authorized = self.verify_user(q.uid, q.ak)
+            if not authorized:
+                raise AuthorizationError(f"user {q.uid!r} matches no owner's list")
+            self._dims_of([q.eq])
+            qs1, qs2 = feature_crypto.recover_sums(self.params, q.eq)
+            query = SumPair(s1=qs1, s2=qs2, l=q.eq.dims)
+            rows = (row for row in self._index if row.owner_id in authorized)
+            if not use_index:
+                rows = (
+                    self._make_row(o, i, self._owners[o].images[i].feature)
+                    for o, i, _, _ in rows
+                )
+            return [
                 RetrievalResult(
                     owner_id=owner_id,
                     image_id=image_id,
-                    enc_image=stored.enc_image,
+                    enc_image=self._owners[owner_id].images[image_id].enc_image,
                     distance=math.sqrt(key / query.l),
                 )
-            )
-        return results
+                for key, owner_id, image_id in top_h(query, rows, q.h)
+            ]
 
     def apply_update(
         self, owner_id: str, command: AddImages | DeleteImages | UpdateImages
@@ -247,23 +223,14 @@ class CloudNode:
         with self._lock:
             record = self.owner_record(owner_id)
             if isinstance(command, AddImages):
-                staged = {}
-                for image_id, enc_image, feature in command.items:
-                    _check_id(image_id, "image id")
-                    if image_id in record.images or image_id in staged:
-                        raise DuplicateImageError(f"{owner_id}/{image_id}")
-                    staged[image_id] = StoredImage(enc_image, feature)
-                for image_id, stored in staged.items():
-                    record.images[image_id] = stored
-                    self._rows[(owner_id, image_id)] = self._make_row(
-                        owner_id, image_id, stored.feature
-                    )
+                self._add_images(record, command.items)
             elif isinstance(command, DeleteImages):
                 self._require_owned(record, command.image_ids)
                 for image_id in command.image_ids:
                     del record.images[image_id]
                     del self._rows[(owner_id, image_id)]
             elif isinstance(command, UpdateImages):
+                self._dims_of(feature for _, _, feature in command.items)
                 self._require_owned(record, [iid for iid, _, _ in command.items])
                 for image_id, enc_image, feature in command.items:
                     record.images[image_id] = StoredImage(enc_image, feature)
@@ -289,21 +256,45 @@ class CloudNode:
             if image_id not in record.images:
                 raise OwnershipError(f"{record.owner_id} does not own {image_id!r}")
 
+    def _dims_of(self, features: Iterable[EncryptedFeature]) -> int | None:
+        """The cloud's dimension once ``features`` are accepted; checks them."""
+        dims = self._dims
+        for feature in features:
+            dims = dims or feature.dims
+            if feature.dims != dims:
+                raise ValueError(f"feature dimension {feature.dims}, the cloud holds {dims}")
+        return dims
+
+    def _add_images(self, record: OwnerRecord, items: Sequence[tuple]) -> int:
+        """Store and index new images of ``record``; all of them or none."""
+        dims = self._dims_of(feature for _, _, feature in items)
+        staged = {}
+        for image_id, enc_image, feature in items:
+            _check_id(image_id, "image id")
+            if image_id in record.images or image_id in staged:
+                raise DuplicateImageError(f"{record.owner_id}/{image_id}")
+            staged[image_id] = (
+                StoredImage(enc_image, feature),
+                self._make_row(record.owner_id, image_id, feature),
+            )
+        for image_id, (stored, row) in staged.items():
+            record.images[image_id] = stored
+            self._rows[(record.owner_id, image_id)] = row
+        self._dims = dims
+        return len(staged)
+
     def _make_row(
         self, owner_id: str, image_id: str, feature: EncryptedFeature
     ) -> IndexEntry:
         s1, s2 = feature_crypto.recover_sums(self.params, feature)
-        entry = IndexEntry(
-            owner_id=owner_id, image_id=image_id, s1=s1, s2=s2, dims=feature.dims
-        )
-        if not entry.sum_pair().is_consistent():
+        if not SumPair(s1=s1, s2=s2, l=feature.dims).is_consistent():
             raise CorruptedSumsError(
                 f"sums for {owner_id}/{image_id} violate Cauchy-Schwarz"
             )
-        return entry
+        return IndexEntry(owner_id, image_id, s1, s2)
 
     def _publish(self) -> None:
-        self._index = tuple(self._rows[key] for key in sorted(self._rows))
+        self._index = tuple(sorted(self._rows.values()))
 
     def index_table(self) -> str:
         """The retrieval index as the text of ``index.tsv``."""
@@ -319,8 +310,6 @@ class CloudNode:
         The owners subtree is rewritten from scratch so deletions do not
         leave stale files behind.
         """
-        import shutil
-
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         if (root / "owners").exists():
@@ -369,21 +358,21 @@ class CloudNode:
                 feature = feature_crypto.feature_from_text(
                     (base / "feat" / f"{image_id}.eft").read_text()
                 )
+                node._dims = node._dims_of([feature])
                 record.images[image_id] = StoredImage(enc_image, feature)
             node._owners[owner_id] = record
 
-        for ln in index_lines[1:]:
-            owner_id, image_id, s1, s2 = ln.split("\t")
-            stored = node.owner_record(owner_id).images.get(image_id)
-            if stored is None:
+        for number, ln in enumerate(index_lines[1:], 2):
+            try:
+                owner_id, image_id, s1, s2 = ln.split("\t")
+                row = IndexEntry(owner_id, image_id, int(s1), int(s2))
+            except ValueError:
+                raise ValueError(
+                    f"{root / 'index.tsv'}: line {number} is malformed: {ln!r}"
+                ) from None
+            if image_id not in node.owner_record(owner_id).images:
                 raise CloudError(f"index row {owner_id}/{image_id} has no image")
-            node._rows[(owner_id, image_id)] = IndexEntry(
-                owner_id=owner_id,
-                image_id=image_id,
-                s1=int(s1),
-                s2=int(s2),
-                dims=stored.feature.dims,
-            )
+            node._rows[(owner_id, image_id)] = row
         node._publish()
         node.check_consistency()
         return node

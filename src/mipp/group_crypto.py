@@ -7,6 +7,10 @@ of secret exponents.  Multiplying all entries makes the blinding exponents
 telescope to zero, so the product is ``1 + p * sum(x)`` and the exact sum
 comes back by one integer division.  Nothing about an individual entry is
 recoverable from its ciphertext without the ring exponents.
+
+Since ``g1^q = 1 mod p`` and ``g2 = g1^p mod p^2``, ``g2^q = 1 mod p^2``,
+so exponents of ``g2`` may be reduced mod q and each blinding factor is
+computed as the single power ``R_i = g2^{r_i*(r_{i+1} - r_{i-1}) mod q}``.
 """
 
 from __future__ import annotations
@@ -238,16 +242,11 @@ def encrypt_vector(
 
     p2 = params.p_squared
     ring = ring_randomness(params.q, len(xs), rng_seed)
-    # Each party's public share g2^{r_i}, computed once and reused by both
-    # neighbours, mirroring the exchange round of the interactive protocol.
-    shares = [pow(params.g2, r, p2) for r in ring]
-
     cipher = []
     n = len(xs)
     for i, x in enumerate(xs):
-        up = shares[(i + 1) % n]
-        down_inv = pow(shares[(i - 1) % n], -1, p2)
-        blind = pow(up * down_inv % p2, ring[i], p2)
+        exponent = ring[i] * (ring[(i + 1) % n] - ring[i - 1]) % params.q
+        blind = pow(params.g2, exponent, p2)
         cipher.append((1 + x * params.p) * blind % p2)
     return tuple(cipher)
 

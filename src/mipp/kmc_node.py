@@ -8,7 +8,7 @@ discard the user key.  A digest of every discarded user key is remembered so
 key reuse across sessions can be refused.
 
 The vault file on disk contains owner keys only (hex-encoded) and relies on
-the trusted-host assumption; it is written with owner-only permissions.
+the trusted-host assumption; it is owner-only from its first byte.
 Session keys are never persisted.
 """
 
@@ -145,9 +145,10 @@ class KmcNode:
         lines = [VAULT_HEADER]
         for oid, sk in sorted(self._owner_keys.items()):
             lines.append(f"{oid}\t{sk.hex()}")
-        path = Path(path)
-        path.write_text("\n".join(lines) + "\n")
-        os.chmod(path, 0o600)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        with open(fd, "w") as fh:
+            os.fchmod(fd, 0o600)  # os.open's mode does not apply to an existing file
+            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load_vault(cls, path: str | Path, **kwargs) -> "KmcNode":
@@ -155,7 +156,9 @@ class KmcNode:
         if not lines or lines[0] != VAULT_HEADER:
             raise ValueError(f"missing {VAULT_HEADER} header")
         node = cls(**kwargs)
-        for ln in lines[1:]:
-            oid, hexkey = ln.split("\t")
+        for number, ln in enumerate(lines[1:], 2):
+            oid, tab, hexkey = ln.partition("\t")
+            if not tab:
+                raise ValueError(f"{path}: line {number} has no tab")
             node._owner_keys[oid] = bytes.fromhex(hexkey)
         return node

@@ -21,7 +21,6 @@ import hashlib
 import struct
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -364,9 +363,6 @@ class SessionTranscript:
         lines = [e.line() for e in self.entries]
         lines += [f"! {n}" for n in self.notes]
         return "\n".join(lines) + "\n"
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text())
 
 
 # -- client steps ----------------------------------------------------------------

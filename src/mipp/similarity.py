@@ -9,14 +9,15 @@ metric: a vector generally has nonzero distance to itself.
 
 Rankings are compared on the integer quantity l*(s2a + s2b) - 2*s1a*s1b
 (the radicand scaled by the dimension) so ordering never depends on float
-rounding.
+rounding; ``top_h`` ranks index rows by it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class CorruptedSumsError(ValueError):
@@ -59,8 +60,6 @@ def new_dis(x: Sequence[int], y: Sequence[int]) -> float:
 
 def sim_from_sums(a: SumPair, b: SumPair) -> float:
     """Evaluate the distance from two recovered sum pairs."""
-    if a.l != b.l:
-        raise ValueError(f"dimension mismatch: {a.l} vs {b.l}")
     radicand = rank_key(a, b)
     if radicand < 0:
         raise CorruptedSumsError(
@@ -74,3 +73,12 @@ def rank_key(a: SumPair, b: SumPair) -> int:
     if a.l != b.l:
         raise ValueError(f"dimension mismatch: {a.l} vs {b.l}")
     return a.l * (a.s2 + b.s2) - 2 * a.s1 * b.s1
+
+
+def top_h(query: SumPair, rows: Iterable[tuple], h: int) -> list[tuple[int, str, str]]:
+    """The h smallest (rank_key, owner_id, image_id) over (owner_id, image_id,
+    s1, s2) rows of dimension ``query.l``; like ``sorted(...)[:h]``, equal keys
+    go by (owner id, image id)."""
+    l, qs1, qs2 = query.l, query.s1, query.s2
+    keys = ((l * (qs2 + s2) - 2 * qs1 * s1, o, i) for o, i, s1, s2 in rows)
+    return heapq.nsmallest(h, keys)

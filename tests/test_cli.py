@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,12 @@ def test_parallel_eval_matches_sequential(corpus_dir, tmp_path):
     assert main(common + ["--out", str(seq_out)]) == 0
     assert main(common + ["--parallel", "--out", str(par_out)]) == 0
     assert seq_out.read_text() == par_out.read_text()
+
+
+def test_users_line_without_tab_names_the_file(store_dir, tmp_path):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    users = store / "users.tsv"
+    users.write_text(users.read_text() + "user-2\n")
+    with pytest.raises(ValueError, match="users.tsv: line 3 has no tab"):
+        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])

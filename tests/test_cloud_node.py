@@ -1,7 +1,12 @@
+import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipp.cloud_node import (
     AddImages,
@@ -15,9 +20,9 @@ from mipp.cloud_node import (
     UnknownOwnerError,
     UpdateImages,
 )
-from mipp.feature_crypto import encrypt_feature_pair
+from mipp.feature_crypto import encrypt_feature_pair, feature_to_text
 from mipp.group_crypto import gen_group_params
-from mipp.similarity import new_dis
+from mipp.similarity import SumPair, new_dis, rank_key
 
 PARAMS = gen_group_params(32, b"cloud-tests")
 AK1 = bytes(range(32))
@@ -268,4 +273,158 @@ def test_manifest_line_without_tab_names_the_file(tmp_path):
     manifest = tmp_path / "store" / "owners" / "owner-1" / "manifest"
     manifest.write_text(manifest.read_text() + "alice\n")
     with pytest.raises(ValueError, match="owner-1/manifest: line 4 has no tab"):
+        CloudNode.load_store(tmp_path / "store", PARAMS)
+
+
+def test_index_rows_are_the_four_table_columns():
+    cloud = make_cloud()
+    assert all(len(row) == 4 for row in cloud.index)
+    assert cloud.index[0] == ("owner-1", "img-a", 9, 29)
+
+
+def test_queries_overlapping_add_and_delete_never_fail():
+    cloud = make_cloud()
+    batch = tuple(
+        (f"churn-{i}", enc_img(40 + i), upload([2, 3, 4 + i % 3], f"churn{i}"))
+        for i in range(20)
+    )
+    churn_ids = tuple(image_id for image_id, _, _ in batch)
+    done = threading.Event()
+    errors = []
+
+    def reader(use_index):
+        q = query([2, 3, 4], h=10)
+        while not done.is_set():
+            try:
+                cloud.retrieve_top_h(q, use_index=use_index)
+            except Exception as exc:  # recorded; the assertion below reports it
+                errors.append(exc)
+
+    def writer():
+        try:
+            for _ in range(50):
+                cloud.apply_update("owner-1", AddImages(batch))
+                cloud.apply_update("owner-1", DeleteImages(churn_ids))
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    threads = [
+        threading.Thread(target=reader, args=(True,)),
+        threading.Thread(target=reader, args=(False,)),
+        threading.Thread(target=writer),
+    ]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        done.set()
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(cloud.index) == 6
+    cloud.check_consistency()
+
+
+def test_dimension_mismatch_rejected(tmp_path):
+    cloud = make_cloud()  # three-dimensional features
+    four = upload([1, 2, 3, 4], b"four")
+    with pytest.raises(ValueError, match="dimension 4"):
+        cloud.retrieve_top_h(QueryEnvelope(eq=four, uid="alice", ak=AK1))
+    with pytest.raises(ValueError, match="dimension 4"):
+        cloud.register_owner("owner-3", aul=[], images=[("x", enc_img(1), four)])
+    with pytest.raises(ValueError, match="dimension 4"):
+        cloud.apply_update("owner-1", AddImages((("x", enc_img(1), four),)))
+    with pytest.raises(ValueError, match="dimension 4"):
+        cloud.apply_update("owner-1", UpdateImages((("img-a", enc_img(1), four),)))
+    assert "owner-3" not in cloud.owner_ids
+    assert cloud.index == make_cloud().index
+    assert cloud.owner_record("owner-1").images["img-a"].feature.dims == 3
+
+    mixed = CloudNode(PARAMS)
+    with pytest.raises(ValueError, match="dimension 4"):
+        mixed.register_owner(
+            "o", aul=[], images=[("a", enc_img(1), upload([1, 2, 3], b"a")),
+                                 ("b", enc_img(2), four)],
+        )
+
+    cloud.save_store(tmp_path / "store")
+    eft = tmp_path / "store" / "owners" / "owner-2" / "feat" / "img-e.eft"
+    eft.write_text(feature_to_text(four))
+    with pytest.raises(ValueError, match="dimension 4"):
+        CloudNode.load_store(tmp_path / "store", PARAMS)
+
+
+def test_rejected_registration_leaves_dimension_unset():
+    cloud = CloudNode(PARAMS)
+    five = upload([1, 2, 3, 4, 5], b"five")
+    with pytest.raises(DuplicateImageError):
+        cloud.register_owner(
+            "o1", aul=[("alice", AK1)],
+            images=[("dup", enc_img(1), five), ("dup", enc_img(2), five)],
+        )
+    cloud.register_owner(
+        "o1", aul=[("alice", AK1)], images=[("a", enc_img(1), upload([1, 2, 3], b"a"))]
+    )
+    results = cloud.retrieve_top_h(query([1, 2, 3]))
+    assert [(r.owner_id, r.image_id) for r in results] == [("o1", "a")]
+
+
+_SMALL_VECTORS = st.lists(st.integers(0, 3), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    owners=st.lists(
+        st.tuples(st.sets(st.sampled_from(["alice", "bob"])),
+                  st.lists(_SMALL_VECTORS, max_size=5)),
+        min_size=1, max_size=4,
+    ),
+    query_vector=_SMALL_VECTORS,
+    data=st.data(),
+)
+def test_both_paths_return_the_h_smallest_rank_keys(owners, query_vector, data):
+    # entries in 0..3 give sums in 0..9 and 0..27, so keys tie often
+    keys = {"alice": AK1, "bob": AK2}
+    q = SumPair.from_vector(query_vector)
+    cloud = CloudNode(PARAMS)
+    expected = []
+    for o, (users, vectors) in enumerate(owners):
+        owner_id = f"o{o}"
+        cloud.register_owner(
+            owner_id, aul=[(uid, keys[uid]) for uid in users],
+            images=[(f"i{k}", enc_img(k), upload(v, f"{o}:{k}"))
+                    for k, v in enumerate(vectors)],
+        )
+        if "alice" in users:
+            expected += [(rank_key(q, SumPair.from_vector(v)), owner_id, f"i{k}")
+                         for k, v in enumerate(vectors)]
+    h = data.draw(st.integers(1, len(expected) + 2))
+    envelope = query(query_vector, h=h)
+    for use_index in (True, False):
+        if not any("alice" in users for users, _ in owners):
+            with pytest.raises(AuthorizationError):
+                cloud.retrieve_top_h(envelope, use_index=use_index)
+            continue
+        got = cloud.retrieve_top_h(envelope, use_index=use_index)
+        want = sorted(expected)[:h]
+        assert [(r.owner_id, r.image_id) for r in got] == [(o, i) for _, o, i in want]
+        assert [r.distance for r in got] == [math.sqrt(k / 3) for k, _, _ in want]
+
+
+def test_malformed_index_row_names_the_file_and_line(tmp_path):
+    cloud = make_cloud()
+    cloud.save_store(tmp_path / "store")
+    index = tmp_path / "store" / "index.tsv"
+    good = index.read_text()
+    index.write_text(good + "owner-1\timg-a\t9\n")
+    with pytest.raises(ValueError, match="index.tsv: line 8 "):
+        CloudNode.load_store(tmp_path / "store", PARAMS)
+    index.write_text(good.replace("owner-1\timg-b\t10\t", "owner-1\timg-b\tten\t"))
+    with pytest.raises(ValueError, match="index.tsv: line 3 "):
         CloudNode.load_store(tmp_path / "store", PARAMS)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipp.group_crypto import (
     DegenerateRingError,
@@ -176,3 +178,29 @@ def test_validate_rejects_inconsistent_params(tiny_params):
 def test_params_id_tracks_content(tiny_params, test_params):
     assert tiny_params.params_id != test_params.params_id
     assert tiny_params.params_id == params_from_primes(23, 11, 2).params_id
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bits=st.integers(16, 64),
+    params_seed=st.binary(max_size=4),
+    ring_seed=st.binary(max_size=8),
+    data=st.data(),
+)
+def test_one_exponentiation_matches_two_exponentiation_formula(
+    bits, params_seed, ring_seed, data
+):
+    params = gen_group_params(bits, params_seed)
+    n = data.draw(st.integers(3, 128))
+    xs = data.draw(st.lists(st.integers(0, (params.p - 1) // n), min_size=n, max_size=n))
+    # the blinding factor as first written: (g2^{r_{i+1}} / g2^{r_{i-1}})^{r_i}
+    p2 = params.p_squared
+    ring = ring_randomness(params.q, n, ring_seed)
+    shares = [pow(params.g2, r, p2) for r in ring]
+    expected = tuple(
+        (1 + x * params.p)
+        * pow(shares[(i + 1) % n] * pow(shares[(i - 1) % n], -1, p2) % p2, ring[i], p2)
+        % p2
+        for i, x in enumerate(xs)
+    )
+    assert encrypt_vector(params, xs, ring_seed) == expected

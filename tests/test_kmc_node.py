@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -212,3 +214,30 @@ def test_concurrent_reencrypt_spends_key_once():
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
     assert sorted(outcomes) == ["refused"] * 7 + ["used"]
+
+
+def test_vault_is_owner_only_from_its_first_byte(tmp_path, monkeypatch):
+    # an existing world-readable vault, and no chmod after the write
+    path = tmp_path / "vault"
+    path.write_text("stale")
+    path.chmod(0o644)
+    monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+    kmc = KmcNode()
+    kmc.store_owner_key("o1", b"\xaa\xbb")
+    old_umask = os.umask(0o022)
+    try:
+        kmc.save_vault(path)
+    finally:
+        os.umask(old_umask)
+    assert (path.stat().st_mode & 0o777) == 0o600
+    assert KmcNode.load_vault(path).owner_key("o1") == b"\xaa\xbb"
+
+
+def test_vault_line_without_tab_names_the_file(tmp_path):
+    kmc = KmcNode()
+    kmc.store_owner_key("o1", b"\xaa\xbb")
+    path = tmp_path / "vault"
+    kmc.save_vault(path)
+    path.write_text(path.read_text() + "o2\n")
+    with pytest.raises(ValueError, match="vault: line 3 has no tab"):
+        KmcNode.load_vault(path)
