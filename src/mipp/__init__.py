@@ -20,7 +20,7 @@ from .cloud_node import (
     QueryEnvelope,
     UpdateImages,
 )
-from .ehd_features import EhdConfig, extract_ehd, square_feature
+from .ehd_features import extract_ehd, square_feature
 from .feature_crypto import EncryptedFeature, encrypt_feature_pair, recover_sums
 from .group_crypto import (
     GroupParams,
@@ -43,7 +43,6 @@ __all__ = [
     "AuthorizationError",
     "CloudNode",
     "DeleteImages",
-    "EhdConfig",
     "EncryptedFeature",
     "GroupParams",
     "IndexEntry",

@@ -47,6 +47,8 @@ def _load_store(store: Path):
         if not tab:
             raise ValueError(f"{store / 'users.tsv'}: line {number} has no tab")
         users[uid] = bytes.fromhex(ak_hex)
+    if not users:
+        raise ValueError(f"{store / 'users.tsv'} lists no user")
     return params, cloud, kmc, users
 
 
@@ -227,6 +229,7 @@ def cmd_update(args) -> int:
     else:
         ids = tuple(args.reencrypt.split(","))
         record = cloud.owner_record(args.owner)
+        record.require_owned(ids)
         ordinal = _next_session(store)
         before = cloud.index
         # image_enc(sk, image_dec(sk, e)) == e, so the stored images come back

@@ -87,6 +87,11 @@ class OwnerRecord:
     aul: frozenset[tuple[str, bytes]]
     images: dict[str, StoredImage] = field(default_factory=dict)
 
+    def require_owned(self, image_ids: Iterable[str]) -> None:
+        for image_id in image_ids:
+            if image_id not in self.images:
+                raise OwnershipError(f"{self.owner_id} does not own {image_id!r}")
+
 
 @dataclass(frozen=True)
 class QueryEnvelope:
@@ -122,7 +127,7 @@ class DeleteImages:
 
 @dataclass(frozen=True)
 class UpdateImages:
-    """Re-encrypted replacements; index rows stay untouched by design."""
+    """Re-encrypted replacements; each must recover its indexed row's sums."""
 
     items: tuple[tuple[str, np.ndarray, EncryptedFeature], ...]
 
@@ -225,17 +230,19 @@ class CloudNode:
             if isinstance(command, AddImages):
                 self._add_images(record, command.items)
             elif isinstance(command, DeleteImages):
-                self._require_owned(record, command.image_ids)
+                record.require_owned(command.image_ids)
                 for image_id in command.image_ids:
                     del record.images[image_id]
                     del self._rows[(owner_id, image_id)]
             elif isinstance(command, UpdateImages):
                 self._dims_of(feature for _, _, feature in command.items)
-                self._require_owned(record, [iid for iid, _, _ in command.items])
+                record.require_owned(iid for iid, _, _ in command.items)
+                for image_id, _, feature in command.items:
+                    row = self._make_row(owner_id, image_id, feature)
+                    if row != self._rows[(owner_id, image_id)]:
+                        raise CloudError(f"{owner_id}/{image_id}: replacement changes its sums")
                 for image_id, enc_image, feature in command.items:
                     record.images[image_id] = StoredImage(enc_image, feature)
-                    # recovered sums are invariant under re-encryption, so
-                    # the existing index row is already correct
             else:
                 raise TypeError(f"unknown update command {type(command).__name__}")
             self._publish()
@@ -250,11 +257,6 @@ class CloudNode:
             raise CloudError(
                 f"index out of sync: {sorted(stored ^ indexed)[:5]} ..."
             )
-
-    def _require_owned(self, record: OwnerRecord, image_ids: Iterable[str]) -> None:
-        for image_id in image_ids:
-            if image_id not in record.images:
-                raise OwnershipError(f"{record.owner_id} does not own {image_id!r}")
 
     def _dims_of(self, features: Iterable[EncryptedFeature]) -> int | None:
         """The cloud's dimension once ``features`` are accepted; checks them."""

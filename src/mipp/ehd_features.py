@@ -1,145 +1,89 @@
 """Edge-histogram texture features for grayscale images.
 
-The image is split into a 4x4 grid of sub-images.  Inside each sub-image,
-every aligned 2x2 macro-block is pushed through five directional filters
-(vertical, horizontal, 45 degree, 135 degree, non-directional); the largest
-response wins if it clears the edge threshold.  Each sub-image yields five
-bins counting its edge types, quantized to 0..255, giving an 80-dimensional
+The geometry is fixed, as in the MPEG-7 edge histogram: the image is split
+into a 4x4 grid of cells, and inside each cell every aligned 2x2 block
+[[a, b], [c, d]] is pushed through five directional filters (vertical,
+horizontal, 45 degree, 135 degree, non-directional); the largest response
+wins if it clears the edge threshold 11.  Each cell yields five bins
+counting its edge types, quantized to 0..255, giving an 80-dimensional
 integer vector.  Integer bins keep the vectors valid secure-sum plaintexts.
+
+Blocks are scored in exact integers by their squared responses
+(a-b+c-d)^2, (a+b-c-d)^2, 2(a-d)^2, 2(b-c)^2 and 4(a-b-c+d)^2 against
+11^2, ties going to the earlier filter.  On uint8 pixels this decides as
+the real-valued filters do: a diagonal response sqrt(2)*k never equals an
+integer response j > 0 or the threshold, and when the two diagonals tie
+(|a-d| = |b-c| = k > 0) the vertical or horizontal response is 2k and wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-EHD_HEADER = "MIPP-EHD-1"
-
 EDGE_TYPES = ("vertical", "horizontal", "diag45", "diag135", "nondirectional")
-
-# Filter coefficients applied to the 2x2 block [[a00, a01], [a10, a11]],
-# in EDGE_TYPES order.  Ties go to the earlier filter.
-_SQRT2 = float(np.sqrt(2.0))
-_FILTERS = np.array(
-    [
-        [1.0, -1.0, 1.0, -1.0],
-        [1.0, 1.0, -1.0, -1.0],
-        [_SQRT2, 0.0, 0.0, -_SQRT2],
-        [0.0, _SQRT2, -_SQRT2, 0.0],
-        [2.0, -2.0, -2.0, 2.0],
-    ]
-)
+GRID = 4
+EDGE_THRESHOLD = 11
+FEATURE_DIMS = GRID * GRID * len(EDGE_TYPES)
+_NO_EDGE = len(EDGE_TYPES)
 
 
 class ImageTooSmallError(ValueError):
-    """Image cannot host at least one macro-block per sub-image."""
+    """Image cannot host at least one 2x2 block per cell."""
 
 
-@dataclass(frozen=True)
-class EhdConfig:
-    grid_rows: int = 4
-    grid_cols: int = 4
-    block_size: int = 2
-    edge_threshold: float = 11.0
+def _block_axis(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both pixel positions of every whole block along one axis, and its cell.
 
-    @property
-    def dims(self) -> int:
-        return self.grid_rows * self.grid_cols * len(EDGE_TYPES)
-
-
-DEFAULT_CONFIG = EhdConfig()
-FEATURE_DIMS = DEFAULT_CONFIG.dims
-
-
-def extract_ehd(img: np.ndarray, cfg: EhdConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Extract the edge histogram of ``img`` as int64 bins in [0, 255].
-
-    Sub-image boundaries come from integer division; the trailing remainder
-    rows/columns belong to the last sub-image.  Blocks tile from each
-    sub-image's top-left corner; leftover strips too thin for a full block
-    are ignored.
+    Cells start at ``length // GRID * c`` and the last one takes the
+    remainder; blocks tile each cell from its start, so an odd pixel left at
+    a cell's end belongs to no block.
     """
+    step = length // GRID
+    pos = np.arange(length - 1)
+    cell = np.minimum(pos // step, GRID - 1)
+    offset = pos - cell * step
+    size = np.where(cell == GRID - 1, length - (GRID - 1) * step, step)
+    first = (offset % 2 == 0) & (offset + 1 < size)
+    return np.stack([pos[first], pos[first] + 1], axis=1).ravel(), cell[first]
+
+
+def extract_ehd(img: np.ndarray) -> np.ndarray:
+    """Extract the edge histogram of a uint8 image as int64 bins in [0, 255]."""
     arr = np.asarray(img)
-    if arr.ndim != 2:
-        raise ValueError("image must be a 2-D array")
+    if arr.ndim != 2 or arr.dtype != np.uint8:
+        raise ValueError("image must be a 2-D uint8 array")
     m, n = arr.shape
-    min_side_rows = cfg.grid_rows * cfg.block_size
-    min_side_cols = cfg.grid_cols * cfg.block_size
-    if m < min_side_rows or n < min_side_cols:
+    if m < 2 * GRID or n < 2 * GRID:
         raise ImageTooSmallError(
-            f"{m}x{n} image too small for a {cfg.grid_rows}x{cfg.grid_cols} "
-            f"grid of {cfg.block_size}x{cfg.block_size} blocks"
+            f"{m}x{n} image too small for a {GRID}x{GRID} grid of 2x2 blocks"
         )
 
-    sub_h, sub_w = m // cfg.grid_rows, n // cfg.grid_cols
-    bins = np.zeros(cfg.dims, dtype=np.int64)
-    for gr in range(cfg.grid_rows):
-        top = gr * sub_h
-        bottom = (gr + 1) * sub_h if gr < cfg.grid_rows - 1 else m
-        for gc in range(cfg.grid_cols):
-            left = gc * sub_w
-            right = (gc + 1) * sub_w if gc < cfg.grid_cols - 1 else n
-            sub = arr[top:bottom, left:right]
-            counts, total = _edge_counts(sub, cfg)
-            base = (gr * cfg.grid_cols + gc) * len(EDGE_TYPES)
-            bins[base : base + len(EDGE_TYPES)] = 255 * counts // total
-    return bins
+    rows, row_cell = _block_axis(m)
+    cols, col_cell = _block_axis(n)
+    px = arr.take(rows, axis=0).take(cols, axis=1).astype(np.int32)
+    a, b, c, d = px[0::2, 0::2], px[0::2, 1::2], px[1::2, 0::2], px[1::2, 1::2]
+    ad, bc = a - d, b - c
+    scores = (
+        (ad - bc) ** 2, (ad + bc) ** 2, 2 * ad**2, 2 * bc**2, 4 * (a - b - c + d) ** 2
+    )
+    # a filter wins where it beats the threshold and every earlier filter
+    best = np.full(a.shape, EDGE_THRESHOLD**2, dtype=np.int32)
+    kind = np.full(a.shape, _NO_EDGE, dtype=np.int8)
+    for k, score in enumerate(scores):
+        kind = np.where(score > best, k, kind)
+        best = np.maximum(best, score)
 
-
-def _edge_counts(sub: np.ndarray, cfg: EhdConfig) -> tuple[np.ndarray, int]:
-    b = cfg.block_size
-    rows = sub.shape[0] // b
-    cols = sub.shape[1] // b
-    block = sub[: rows * b, : cols * b].astype(np.float64)
-    # mean intensity of each block quadrant; for 2x2 blocks these are the
-    # four pixels themselves
-    half = b // 2 if b > 1 else 1
-    quads = np.empty((rows, cols, 4))
-    view = block.reshape(rows, b, cols, b)
-    quads[..., 0] = view[:, :half, :, :half].mean(axis=(1, 3))
-    quads[..., 1] = view[:, :half, :, half:].mean(axis=(1, 3))
-    quads[..., 2] = view[:, half:, :, :half].mean(axis=(1, 3))
-    quads[..., 3] = view[:, half:, :, half:].mean(axis=(1, 3))
-
-    responses = np.abs(quads @ _FILTERS.T)  # (rows, cols, 5)
-    winner = responses.argmax(axis=2)
-    is_edge = responses.max(axis=2) > cfg.edge_threshold
-    counts = np.bincount(winner[is_edge], minlength=len(EDGE_TYPES))
-    return counts.astype(np.int64), rows * cols
+    slots = _NO_EDGE + 1
+    cell = row_cell[:, None] * GRID + col_cell
+    counts = np.bincount((cell * slots + kind).ravel(), minlength=GRID * GRID * slots)
+    rows_per_cell = np.bincount(row_cell, minlength=GRID)
+    blocks = np.outer(rows_per_cell, np.bincount(col_cell, minlength=GRID)).reshape(-1, 1)
+    return (255 * counts.reshape(-1, slots)[:, :_NO_EDGE] // blocks).ravel()
 
 
 def square_feature(f: Sequence[int] | np.ndarray) -> np.ndarray:
     """Elementwise square with exact integer arithmetic."""
     arr = np.asarray(f, dtype=np.int64)
     return arr * arr
-
-
-def write_ehd(path: str | Path, features: Iterable[Sequence[int]], dims: int = FEATURE_DIMS) -> None:
-    """Write features one per line, comma-separated decimal integers."""
-    lines = [f"{EHD_HEADER} l={dims}"]
-    for f in features:
-        values = [int(v) for v in f]
-        if len(values) != dims:
-            raise ValueError(f"feature of length {len(values)} != l={dims}")
-        lines.append(",".join(str(v) for v in values))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_ehd(path: str | Path) -> list[np.ndarray]:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or not lines[0].startswith(EHD_HEADER):
-        raise ValueError(f"missing {EHD_HEADER} header")
-    try:
-        dims = int(lines[0].split("l=", 1)[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError("malformed dimension field in header") from exc
-    features = []
-    for ln in lines[1:]:
-        values = np.array([int(v) for v in ln.split(",")], dtype=np.int64)
-        if values.size != dims:
-            raise ValueError(f"feature of length {values.size} != l={dims}")
-        features.append(values)
-    return features

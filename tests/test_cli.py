@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mipp.cli import main
+from mipp.cloud_node import OwnershipError
 from mipp.evaluation import SynthSpec, synth_corpus, write_corpus
 from mipp.group_crypto import load_params
 from mipp.image_cipher import read_pgm, write_pgm
@@ -160,3 +161,23 @@ def test_users_line_without_tab_names_the_file(store_dir, tmp_path):
     users.write_text(users.read_text() + "user-2\n")
     with pytest.raises(ValueError, match="users.tsv: line 3 has no tab"):
         main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])
+
+
+def test_reencrypt_of_an_image_the_owner_lacks_changes_nothing(store_dir, tmp_path):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    before = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
+    with pytest.raises(OwnershipError, match="owner-1 does not own 'nope'"):
+        main(["update", "--store", str(store), "--owner", "owner-1",
+              "--reencrypt", "nope", "--seed", "u4"])
+    assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == before
+
+
+def test_users_file_without_users_names_the_file(store_dir, corpus_dir, tmp_path):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    users = store / "users.tsv"
+    users.write_text(users.read_text().splitlines()[0] + "\n")
+    query_image = sorted((corpus_dir / "cat00").glob("*.pgm"))[0]
+    with pytest.raises(ValueError, match="users.tsv lists no user"):
+        main(["query", "--store", str(store), "--image", str(query_image)])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mipp.cloud_node import (
     AddImages,
     AuthorizationError,
+    CloudError,
     CloudNode,
     DeleteImages,
     DuplicateImageError,
@@ -231,6 +232,28 @@ def test_update_foreign_image_rejected():
         cloud.apply_update("owner-1", DeleteImages(("img-d",)))
     with pytest.raises(UnknownOwnerError):
         cloud.apply_update("nobody", DeleteImages(("img-a",)))
+
+
+def test_update_that_changes_sums_rejected():
+    cloud = make_cloud()
+    before = cloud.index
+    stored = dict(cloud.owner_record("owner-1").images)
+    same_sums = upload([4, 3, 2], b"same-sums")  # a permutation keeps s1, s2
+    other_sums = upload([200, 200, 200], b"other-sums")
+    with pytest.raises(CloudError, match="owner-1/img-b"):
+        cloud.apply_update(
+            "owner-1",
+            UpdateImages((("img-a", enc_img(7), same_sums), ("img-b", enc_img(8), other_sums))),
+        )
+    assert cloud.index == before
+    images = cloud.owner_record("owner-1").images
+    assert all(images[iid] is kept for iid, kept in stored.items())
+    q = query([2, 3, 4], h=6)
+    paths = [
+        [(r.owner_id, r.image_id) for r in cloud.retrieve_top_h(q, use_index=use_index)]
+        for use_index in (True, False)
+    ]
+    assert paths[0] == paths[1]
 
 
 def test_store_roundtrip(tmp_path):

@@ -2,16 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipp.ehd_features import (
     EDGE_TYPES,
-    EhdConfig,
     FEATURE_DIMS,
     ImageTooSmallError,
     extract_ehd,
-    read_ehd,
     square_feature,
-    write_ehd,
 )
 
 
@@ -64,6 +63,13 @@ def test_too_small_image_rejected():
         extract_ehd(img)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.uint16, np.int64])
+def test_non_uint8_image_rejected(dtype):
+    # the integer filter scores are exact, and fit int32, for uint8 pixels only
+    with pytest.raises(ValueError, match="uint8"):
+        extract_ehd(np.full((16, 16), 300, dtype=dtype))
+
+
 def test_translation_by_one_period_is_invariant():
     a = vertical_stripes(40, 40, phase=0)
     b = vertical_stripes(40, 40, phase=2)
@@ -109,8 +115,10 @@ def test_threshold_suppresses_weak_edges():
     img = np.zeros((16, 16), dtype=np.uint8)
     img[:, 1::2] = 5  # vertical response 10, just under the default 11
     assert extract_ehd(img).sum() == 0
-    strong = extract_ehd(img, EhdConfig(edge_threshold=9.0))
-    assert strong.reshape(16, 5)[:, 0].min() == 255
+    img[:, 1::2] = 6  # vertical response 12, just over it
+    f = extract_ehd(img).reshape(16, 5)
+    assert np.all(f[:, 0] == 255)
+    assert np.all(f[:, 1:] == 0)
 
 
 def test_square_feature_values():
@@ -119,21 +127,66 @@ def test_square_feature_values():
     assert np.array_equal(square_feature([255] * 3), [65025] * 3)
 
 
-def test_ehd_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    feats = [rng.integers(0, 256, size=80).astype(np.int64) for _ in range(3)]
-    path = tmp_path / "corpus.ehd"
-    write_ehd(path, feats)
-    text = path.read_text()
-    assert text.splitlines()[0] == "MIPP-EHD-1 l=80"
-    back = read_ehd(path)
-    assert len(back) == 3
-    for a, b in zip(feats, back):
-        assert np.array_equal(a, b)
+_SQRT2 = math.sqrt(2.0)
+_FLOAT_FILTERS = np.array(
+    [
+        [1.0, -1.0, 1.0, -1.0],
+        [1.0, 1.0, -1.0, -1.0],
+        [_SQRT2, 0.0, 0.0, -_SQRT2],
+        [0.0, _SQRT2, -_SQRT2, 0.0],
+        [2.0, -2.0, -2.0, 2.0],
+    ]
+)
 
 
-def test_ehd_file_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.ehd"
-    path.write_text("WRONG l=80\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_ehd(path)
+def per_cell_float_ehd(img):
+    """The earlier implementation: a loop over the 16 cells, float filters."""
+    m, n = img.shape
+    sub_h, sub_w = m // 4, n // 4
+    bins = np.zeros(80, dtype=np.int64)
+    for gr in range(4):
+        bottom = (gr + 1) * sub_h if gr < 3 else m
+        for gc in range(4):
+            right = (gc + 1) * sub_w if gc < 3 else n
+            sub = img[gr * sub_h : bottom, gc * sub_w : right].astype(np.float64)
+            rows, cols = sub.shape[0] // 2, sub.shape[1] // 2
+            view = sub[: rows * 2, : cols * 2].reshape(rows, 2, cols, 2)
+            quads = np.stack(
+                [view[:, 0, :, 0], view[:, 0, :, 1], view[:, 1, :, 0], view[:, 1, :, 1]],
+                axis=-1,
+            )
+            responses = np.abs(quads @ _FLOAT_FILTERS.T)
+            edge = responses.max(axis=2) > 11.0
+            counts = np.bincount(responses.argmax(axis=2)[edge], minlength=5)
+            base = (gr * 4 + gc) * 5
+            bins[base : base + 5] = 255 * counts // (rows * cols)
+    return bins
+
+
+def pixels(kind, shape, rng):
+    if kind == "uniform":
+        return rng.integers(0, 256, size=shape)
+    if kind == "binary":
+        return rng.integers(0, 2, size=shape) * 255
+    if kind == "few-level":
+        return rng.choice(rng.integers(0, 256, size=3), size=shape)
+    if kind == "near-threshold":
+        return rng.integers(0, 14, size=shape)
+    # base plus k times random bits: a quarter of the blocks have
+    # |a-d| = |b-c| = k, a tie between the two diagonal filters
+    k = int(rng.integers(1, 256))
+    return rng.integers(0, 256 - k) + k * rng.integers(0, 2, size=shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(8, 300),
+    n=st.integers(8, 300),
+    kind=st.sampled_from(["uniform", "binary", "few-level", "near-threshold", "diagonal-tie"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matches_per_cell_float_filters(m, n, kind, seed):
+    img = pixels(kind, (m, n), np.random.default_rng(seed)).astype(np.uint8)
+    f = extract_ehd(img)
+    assert f.dtype == np.int64
+    assert np.array_equal(f, per_cell_float_ehd(img))
