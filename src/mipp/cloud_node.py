@@ -11,11 +11,12 @@ re-aggregated from every stored ciphertext instead; it is the reference
 the index path is checked and timed against.
 
 A cloud holds one feature dimension, set by the first feature it accepts;
-every feature and query that comes in later must match it.  One lock
-serves readers and writers: queries and ``verify_user`` read under it,
-registration and updates hold it while they change the records and
-publish a new sorted index tuple, so no retrieval ever observes a
-half-applied update.
+every feature and query that comes in later must match it.  Each image's
+index row lives in its ``StoredImage`` next to the ciphertexts it was
+recovered from, so there is no second table to keep in step.  One lock
+serves readers and writers: queries, ``verify_user`` and ``index`` read
+under it, registration and updates hold it while they stage and then store
+the records, so no retrieval ever observes a half-applied update.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ class IndexEntry(NamedTuple):
 class StoredImage:
     enc_image: np.ndarray
     feature: EncryptedFeature
+    row: IndexEntry
 
 
 @dataclass
@@ -137,20 +139,30 @@ def _check_id(value: str, what: str) -> None:
         raise ValueError(f"{what} {value!r} must match {_SAFE_ID.pattern}")
 
 
+def _require_distinct(owner_id: str, image_ids: Iterable[str]) -> None:
+    seen = set()
+    for image_id in image_ids:
+        if image_id in seen:
+            raise DuplicateImageError(f"{owner_id}/{image_id}")
+        seen.add(image_id)
+
+
 class CloudNode:
     """Stores encrypted data for many owners and answers top-h queries."""
 
     def __init__(self, params: GroupParams):
         self.params = params
         self._owners: dict[str, OwnerRecord] = {}
-        self._rows: dict[tuple[str, str], IndexEntry] = {}
-        self._index: tuple[IndexEntry, ...] = ()
         self._dims: int | None = None
         self._lock = threading.RLock()
 
     @property
     def index(self) -> tuple[IndexEntry, ...]:
-        return self._index
+        """Every stored image's row, sorted by (owner id, image id)."""
+        with self._lock:
+            return tuple(sorted(
+                stored.row for rec in self._owners.values() for stored in rec.images.values()
+            ))
 
     @property
     def owner_ids(self) -> tuple[str, ...]:
@@ -179,7 +191,6 @@ class CloudNode:
             )
             added = self._add_images(record, images)
             self._owners[owner_id] = record
-            self._publish()
             return added
 
     def verify_user(self, uid: str, ak: bytes) -> set[str]:
@@ -193,10 +204,10 @@ class CloudNode:
     ) -> list[RetrievalResult]:
         """Rank all authorized images by encrypted-domain distance.
 
-        The query sums are recovered once; with ``use_index`` the rows'
-        ``(s1, s2)`` come from the index, without it from re-aggregating
-        every stored ciphertext pair.  Both paths make the same ranking call
-        and return identical rankings.
+        The query sums are recovered once; with ``use_index`` the rows are
+        the authorized images' stored rows, without it they are re-aggregated
+        from those images' ciphertext pairs.  Both paths make the same ranking
+        call and return identical rankings.
         """
         with self._lock:
             authorized = self.verify_user(q.uid, q.ak)
@@ -205,12 +216,11 @@ class CloudNode:
             self._dims_of([q.eq])
             qs1, qs2 = feature_crypto.recover_sums(self.params, q.eq)
             query = SumPair(s1=qs1, s2=qs2, l=q.eq.dims)
-            rows = (row for row in self._index if row.owner_id in authorized)
-            if not use_index:
-                rows = (
-                    self._make_row(o, i, self._owners[o].images[i].feature)
-                    for o, i, _, _ in rows
-                )
+            stored = (s for oid in authorized for s in self._owners[oid].images.values())
+            rows = (
+                s.row if use_index else self._make_row(s.row.owner_id, s.row.image_id, s.feature)
+                for s in stored
+            )
             return [
                 RetrievalResult(
                     owner_id=owner_id,
@@ -230,33 +240,19 @@ class CloudNode:
             if isinstance(command, AddImages):
                 self._add_images(record, command.items)
             elif isinstance(command, DeleteImages):
+                _require_distinct(owner_id, command.image_ids)
                 record.require_owned(command.image_ids)
                 for image_id in command.image_ids:
                     del record.images[image_id]
-                    del self._rows[(owner_id, image_id)]
             elif isinstance(command, UpdateImages):
-                self._dims_of(feature for _, _, feature in command.items)
                 record.require_owned(iid for iid, _, _ in command.items)
-                for image_id, _, feature in command.items:
-                    row = self._make_row(owner_id, image_id, feature)
-                    if row != self._rows[(owner_id, image_id)]:
+                staged = self._stage(owner_id, command.items)
+                for image_id, stored in staged.items():
+                    if stored.row != record.images[image_id].row:
                         raise CloudError(f"{owner_id}/{image_id}: replacement changes its sums")
-                for image_id, enc_image, feature in command.items:
-                    record.images[image_id] = StoredImage(enc_image, feature)
+                record.images.update(staged)
             else:
                 raise TypeError(f"unknown update command {type(command).__name__}")
-            self._publish()
-
-    def check_consistency(self) -> None:
-        """Assert the index and the stored images describe each other."""
-        stored = {
-            (oid, iid) for oid, rec in self._owners.items() for iid in rec.images
-        }
-        indexed = set(self._rows)
-        if stored != indexed:
-            raise CloudError(
-                f"index out of sync: {sorted(stored ^ indexed)[:5]} ..."
-            )
 
     def _dims_of(self, features: Iterable[EncryptedFeature]) -> int | None:
         """The cloud's dimension once ``features`` are accepted; checks them."""
@@ -268,22 +264,24 @@ class CloudNode:
         return dims
 
     def _add_images(self, record: OwnerRecord, items: Sequence[tuple]) -> int:
-        """Store and index new images of ``record``; all of them or none."""
-        dims = self._dims_of(feature for _, _, feature in items)
-        staged = {}
-        for image_id, enc_image, feature in items:
+        """Store new images of ``record`` with their rows; all of them or none."""
+        for image_id, _, _ in items:
             _check_id(image_id, "image id")
-            if image_id in record.images or image_id in staged:
+            if image_id in record.images:
                 raise DuplicateImageError(f"{record.owner_id}/{image_id}")
-            staged[image_id] = (
-                StoredImage(enc_image, feature),
-                self._make_row(record.owner_id, image_id, feature),
-            )
-        for image_id, (stored, row) in staged.items():
-            record.images[image_id] = stored
-            self._rows[(record.owner_id, image_id)] = row
-        self._dims = dims
+        staged = self._stage(record.owner_id, items)
+        record.images.update(staged)
+        self._dims = self._dims_of(stored.feature for stored in staged.values())
         return len(staged)
+
+    def _stage(self, owner_id: str, items: Sequence[tuple]) -> dict[str, StoredImage]:
+        """``items`` as stored images with their recovered rows; stores nothing."""
+        _require_distinct(owner_id, (image_id for image_id, _, _ in items))
+        self._dims_of(feature for _, _, feature in items)
+        return {
+            image_id: StoredImage(enc_image, feature, self._make_row(owner_id, image_id, feature))
+            for image_id, enc_image, feature in items
+        }
 
     def _make_row(
         self, owner_id: str, image_id: str, feature: EncryptedFeature
@@ -295,13 +293,10 @@ class CloudNode:
             )
         return IndexEntry(owner_id, image_id, s1, s2)
 
-    def _publish(self) -> None:
-        self._index = tuple(sorted(self._rows.values()))
-
     def index_table(self) -> str:
         """The retrieval index as the text of ``index.tsv``."""
         lines = [INDEX_HEADER]
-        lines += [f"{e.owner_id}\t{e.image_id}\t{e.s1}\t{e.s2}" for e in self._index]
+        lines += [f"{e.owner_id}\t{e.image_id}\t{e.s1}\t{e.s2}" for e in self.index]
         return "\n".join(lines) + "\n"
 
     # -- on-disk layout ----------------------------------------------------
@@ -335,11 +330,24 @@ class CloudNode:
 
     @classmethod
     def load_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
+        """Load a store; every image must have exactly one ``index.tsv`` row."""
         root = Path(root)
         node = cls(params)
         index_lines = (root / "index.tsv").read_text().strip().splitlines()
         if not index_lines or index_lines[0] != INDEX_HEADER:
             raise ValueError("index.tsv missing or malformed header")
+        rows: dict[tuple[str, str], IndexEntry] = {}
+        for number, ln in enumerate(index_lines[1:], 2):
+            try:
+                owner_id, image_id, s1, s2 = ln.split("\t")
+                row = IndexEntry(owner_id, image_id, int(s1), int(s2))
+            except ValueError:
+                raise ValueError(
+                    f"{root / 'index.tsv'}: line {number} is malformed: {ln!r}"
+                ) from None
+            if (owner_id, image_id) in rows:
+                raise CloudError(f"index row {owner_id}/{image_id} is listed twice")
+            rows[(owner_id, image_id)] = row
 
         owners_dir = root / "owners"
         for base in sorted(owners_dir.iterdir()) if owners_dir.is_dir() else []:
@@ -361,20 +369,11 @@ class CloudNode:
                     (base / "feat" / f"{image_id}.eft").read_text()
                 )
                 node._dims = node._dims_of([feature])
-                record.images[image_id] = StoredImage(enc_image, feature)
+                row = rows.pop((owner_id, image_id), None)
+                if row is None:
+                    raise CloudError(f"image {owner_id}/{image_id} has no index row")
+                record.images[image_id] = StoredImage(enc_image, feature, row)
             node._owners[owner_id] = record
-
-        for number, ln in enumerate(index_lines[1:], 2):
-            try:
-                owner_id, image_id, s1, s2 = ln.split("\t")
-                row = IndexEntry(owner_id, image_id, int(s1), int(s2))
-            except ValueError:
-                raise ValueError(
-                    f"{root / 'index.tsv'}: line {number} is malformed: {ln!r}"
-                ) from None
-            if image_id not in node.owner_record(owner_id).images:
-                raise CloudError(f"index row {owner_id}/{image_id} has no image")
-            node._rows[(owner_id, image_id)] = row
-        node._publish()
-        node.check_consistency()
+        if rows:
+            raise CloudError("index row {}/{} has no image".format(*min(rows)))
         return node

@@ -159,33 +159,31 @@ _BLOCKS = np.array(
 _N_ORIENTS = len(_BLOCKS)
 
 
+# Each density level pairs an edge density with a dominance share (the
+# probability that an edge block takes the cell's dominant orientation rather
+# than a random other one).  The pairs (0.35, 1.0) and (0.7, 0.6) equalize the
+# feature-bin variance of the two levels, which keeps the sum-based distance an
+# honest nearest-neighbour rule on the per-image edge total instead of a bias
+# toward low-energy images.
+_DENSITY_LEVELS = (0.35, 0.7)
+_DOMINANCE_LEVELS = (1.0, 0.6)
+_DENSITY_JITTER = 0.02
+_CLEAN_FRACTION = 0.1
+_CLEAN_SCRAMBLE = (0.0, 0.1)
+_DIRTY_SCRAMBLE = (0.95, 1.0)
+
+
 @dataclass(frozen=True)
 class SynthSpec:
-    """Knobs of the synthetic texture generator.
-
-    Each density level pairs an edge density with a dominance share (the
-    probability that an edge block takes the cell's dominant orientation
-    rather than a random other one).  The defaults (0.35, 1.0) and
-    (0.7, 0.6) equalize the feature-bin variance of the two levels, which
-    keeps the sum-based distance an honest nearest-neighbour rule on the
-    per-image edge total instead of a bias toward low-energy images.
-    """
+    """Size of a synthetic texture corpus."""
 
     categories: int = 10
     per_category: int = 100
     image_size: int = 64
-    density_levels: tuple[float, ...] = (0.35, 0.7)
-    dominance_levels: tuple[float, ...] = (1.0, 0.6)
-    density_jitter: float = 0.02
-    clean_fraction: float = 0.1
-    clean_scramble: tuple[float, float] = (0.0, 0.1)
-    dirty_scramble: tuple[float, float] = (0.95, 1.0)
 
     def __post_init__(self):
-        if self.categories > _N_ORIENTS * len(self.density_levels):
+        if self.categories > _N_ORIENTS * len(_DENSITY_LEVELS):
             raise ValueError("not enough orientation/density combinations")
-        if len(self.dominance_levels) != len(self.density_levels):
-            raise ValueError("one dominance share per density level")
         if self.image_size % 8 != 0:
             raise ValueError("image size must be a multiple of 8")
 
@@ -195,7 +193,7 @@ class SynthSpec:
     def recipe(self, k: int) -> tuple[int, float, float]:
         """(dominant orientation, edge density, dominance) of category k."""
         level = k // _N_ORIENTS
-        return k % _N_ORIENTS, self.density_levels[level], self.dominance_levels[level]
+        return k % _N_ORIENTS, _DENSITY_LEVELS[level], _DOMINANCE_LEVELS[level]
 
 
 def _render(spec: SynthSpec, dominant_per_cell: np.ndarray, density: float,
@@ -231,10 +229,10 @@ def synth_image(spec: SynthSpec, category: int, rng: np.random.Generator,
     """
     orient, density, dominance = spec.recipe(category)
     if clean is None:
-        clean = rng.random() < spec.clean_fraction
-    lo, hi = spec.clean_scramble if clean else spec.dirty_scramble
+        clean = rng.random() < _CLEAN_FRACTION
+    lo, hi = _CLEAN_SCRAMBLE if clean else _DIRTY_SCRAMBLE
     scramble = rng.uniform(lo, hi)
-    density = density * (1.0 + rng.uniform(-spec.density_jitter, spec.density_jitter))
+    density = density * (1.0 + rng.uniform(-_DENSITY_JITTER, _DENSITY_JITTER))
 
     cells = np.full((4, 4), orient, dtype=np.int64)
     mask = rng.random((4, 4)) < scramble
@@ -262,7 +260,7 @@ def synth_corpus(spec: SynthSpec = SynthSpec(), owners: int = 3,
             int.from_bytes(derive_seed(seed, f"category:{k}")[:8], "big")
         )
         for i in range(spec.per_category):
-            clean = i < round(spec.clean_fraction * spec.per_category)
+            clean = i < round(_CLEAN_FRACTION * spec.per_category)
             items.append(
                 CorpusItem(
                     item_id=f"{label}_{i:03d}",
@@ -386,7 +384,6 @@ def run_retrieval_experiment(
     params: GroupParams,
     seed: bytes | str = b"experiment",
     h: int = 100,
-    parallel: bool = False,
 ) -> list[QueryOutcome]:
     """Run full protocol sessions and collect cloud vs. baseline rankings.
 
@@ -394,8 +391,7 @@ def run_retrieval_experiment(
     (what the cloud returns), ``euc_dis`` (the plaintext Euclidean baseline
     the harness computes for comparison) and ``user`` (the user's local
     re-rank of the returned set).  Each query runs as its own authorized
-    user, so sessions are independent and ``parallel`` may fan them out
-    over a thread pool without changing any result.
+    user.
     """
     if not corpus.items:
         raise ValueError("corpus is empty")
@@ -419,11 +415,11 @@ def run_retrieval_experiment(
     ]
     labels = corpus.labels()
 
-    def run_one(arg: tuple[str, tuple[str, np.ndarray]]) -> QueryOutcome:
-        uid, (label, image) = arg
+    outcomes = []
+    for uid, (label, image) in zip(uids, queries):
         session = world.run_session(uid, image)
         scored = rank_by_euclidean(extract_ehd(image), plain)
-        return QueryOutcome(
+        outcomes.append(QueryOutcome(
             query_label=label,
             rankings={
                 "new_dis": tuple(item_id for _, item_id in session.returned),
@@ -433,15 +429,8 @@ def run_retrieval_experiment(
             relevant=frozenset(
                 item_id for item_id, lbl in labels.items() if lbl == label
             ),
-        )
-
-    jobs = list(zip(uids, queries))
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(run_one, jobs))
-    return [run_one(job) for job in jobs]
+        ))
+    return outcomes
 
 
 def experiment_metrics(

@@ -38,14 +38,17 @@ class ByteStream:
         """Return the next ``n`` bytes of the stream."""
         if n < 0:
             raise ValueError("byte count must be non-negative")
-        while len(self._buffer) < n:
-            block = hashlib.sha256(
+        blocks = [self._buffer]
+        have = len(self._buffer)
+        while have < n:
+            blocks.append(hashlib.sha256(
                 self._key + self._counter.to_bytes(8, "big")
-            ).digest()
+            ).digest())
             self._counter += 1
-            self._buffer += block
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
+            have += 32
+        data = b"".join(blocks)
+        self._buffer = data[n:]
+        return data[:n]
 
     def randbits(self, k: int) -> int:
         """Return a uniform integer in [0, 2**k)."""

@@ -144,16 +144,6 @@ def test_bench_output(tmp_path):
     assert "enc_with_index" in text and "storage" in text
 
 
-def test_parallel_eval_matches_sequential(corpus_dir, tmp_path):
-    common = ["eval", "--corpus", str(corpus_dir), "--owners", "2",
-              "--queries-per-category", "1", "--top-h", "10", "--seed", "par"]
-    seq_out = tmp_path / "seq.tsv"
-    par_out = tmp_path / "par.tsv"
-    assert main(common + ["--out", str(seq_out)]) == 0
-    assert main(common + ["--parallel", "--out", str(par_out)]) == 0
-    assert seq_out.read_text() == par_out.read_text()
-
-
 def test_users_line_without_tab_names_the_file(store_dir, tmp_path):
     store = tmp_path / "store"
     shutil.copytree(store_dir, store)

@@ -200,14 +200,12 @@ def test_add_grows_index():
     )
     cloud.apply_update("owner-1", AddImages(items))
     assert len(cloud.index) == 11
-    cloud.check_consistency()
 
 
 def test_delete_removes_everything():
     cloud = make_cloud()
     cloud.apply_update("owner-1", DeleteImages(("img-a", "img-b")))
     assert len(cloud.index) == 4
-    cloud.check_consistency()
     results = cloud.retrieve_top_h(query([2, 3, 4]))
     assert ("owner-1", "img-a") not in [(r.owner_id, r.image_id) for r in results]
 
@@ -223,7 +221,6 @@ def test_update_replaces_ciphertext_but_not_index():
     )
     assert cloud.index == before  # rows bit-identical
     assert cloud.owner_record("owner-1").images["img-a"].feature == fresh
-    cloud.check_consistency()
 
 
 def test_update_foreign_image_rejected():
@@ -351,7 +348,6 @@ def test_queries_overlapping_add_and_delete_never_fail():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(cloud.index) == 6
-    cloud.check_consistency()
 
 
 def test_dimension_mismatch_rejected(tmp_path):
@@ -450,4 +446,54 @@ def test_malformed_index_row_names_the_file_and_line(tmp_path):
         CloudNode.load_store(tmp_path / "store", PARAMS)
     index.write_text(good.replace("owner-1\timg-b\t10\t", "owner-1\timg-b\tten\t"))
     with pytest.raises(ValueError, match="index.tsv: line 3 "):
+        CloudNode.load_store(tmp_path / "store", PARAMS)
+
+
+def _ranked(cloud, use_index):
+    q = query([2, 3, 4], h=6)
+    return [(r.owner_id, r.image_id) for r in cloud.retrieve_top_h(q, use_index=use_index)]
+
+
+@pytest.mark.parametrize("command", [
+    DeleteImages(("img-a", "img-a")),
+    AddImages((("new", enc_img(7), upload([1, 1, 1], b"n1")),
+               ("new", enc_img(8), upload([2, 2, 2], b"n2")))),
+    UpdateImages((("img-a", enc_img(7), upload([4, 3, 2], b"u1")),
+                  ("img-a", enc_img(8), upload([3, 4, 2], b"u2")))),
+], ids=["delete", "add", "update"])
+def test_repeated_image_id_in_an_update_changes_nothing(command):
+    cloud = make_cloud()
+    before = cloud.index
+    stored = dict(cloud.owner_record("owner-1").images)
+    ranked = [_ranked(cloud, use_index) for use_index in (True, False)]
+    with pytest.raises(DuplicateImageError, match="owner-1/(img-a|new)"):
+        cloud.apply_update("owner-1", command)
+    assert cloud.index == before
+    images = cloud.owner_record("owner-1").images
+    assert images.keys() == stored.keys()
+    assert all(images[iid] is kept for iid, kept in stored.items())
+    assert [_ranked(cloud, use_index) for use_index in (True, False)] == ranked
+
+
+def test_index_row_lives_with_its_image():
+    cloud = make_cloud()
+    images = cloud.owner_record("owner-1").images
+    assert images["img-a"].row == ("owner-1", "img-a", 9, 29)
+    assert cloud.index == tuple(sorted(
+        stored.row for oid in cloud.owner_ids
+        for stored in cloud.owner_record(oid).images.values()
+    ))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text + "owner-1\timg-b\t10\t100\n", "index row owner-1/img-b is listed twice"),
+    (lambda text: text.replace("owner-2\timg-d\t0\t0\n", ""), "image owner-2/img-d has no index row"),
+    (lambda text: text + "owner-1\tghost\t1\t1\n", "index row owner-1/ghost has no image"),
+], ids=["repeated-row", "image-without-row", "row-without-image"])
+def test_index_that_does_not_match_the_images_is_refused(tmp_path, edit, message):
+    cloud = make_cloud()
+    cloud.save_store(tmp_path / "store")
+    index = tmp_path / "store" / "index.tsv"
+    index.write_text(edit(index.read_text()))
+    with pytest.raises(CloudError, match=message):
         CloudNode.load_store(tmp_path / "store", PARAMS)
