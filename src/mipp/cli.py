@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from . import evaluation, feature_crypto, group_crypto
-from .cloud_node import AddImages, CloudNode, DeleteImages, QueryEnvelope, UpdateImages
+from .cloud_node import (AddImages, CloudNode, DeleteImages, QueryEnvelope, UpdateImages,
+                         read_credential)
 from .ehd_features import extract_ehd
 # image_enc is not called here; it stays bound so that instrumentation which
 # wraps this module's image-cipher names finds every one of them.
@@ -38,15 +39,11 @@ def _load_store(store: Path):
     params = group_crypto.load_params(store / "params.txt")
     cloud = CloudNode.load_store(store / "cloud", params)
     kmc = KmcNode.load_vault(store / "vault")
-    users = {}
     lines = (store / "users.tsv").read_text().strip().splitlines()
     if not lines or lines[0] != USERS_HEADER:
         raise ValueError("users.tsv missing or malformed")
-    for number, ln in enumerate(lines[1:], 2):
-        uid, tab, ak_hex = ln.partition("\t")
-        if not tab:
-            raise ValueError(f"{store / 'users.tsv'}: line {number} has no tab")
-        users[uid] = bytes.fromhex(ak_hex)
+    users = dict(read_credential(store / "users.tsv", number, ln)
+                 for number, ln in enumerate(lines[1:], 2))
     if not users:
         raise ValueError(f"{store / 'users.tsv'} lists no user")
     return params, cloud, kmc, users

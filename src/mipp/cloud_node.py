@@ -90,6 +90,9 @@ class OwnerRecord:
     images: dict[str, StoredImage] = field(default_factory=dict)
 
     def require_owned(self, image_ids: Iterable[str]) -> None:
+        """Refuse a repeated image id, or one this owner does not hold."""
+        image_ids = list(image_ids)
+        _require_distinct(self.owner_id, image_ids)
         for image_id in image_ids:
             if image_id not in self.images:
                 raise OwnershipError(f"{self.owner_id} does not own {image_id!r}")
@@ -137,6 +140,18 @@ class UpdateImages:
 def _check_id(value: str, what: str) -> None:
     if not _SAFE_ID.match(value):
         raise ValueError(f"{what} {value!r} must match {_SAFE_ID.pattern}")
+
+
+def read_credential(path: Path, number: int, line: str) -> tuple[str, bytes]:
+    """The (user id, access key) on line ``number`` of ``path``: an id, a tab
+    and the key in hex."""
+    uid, tab, ak_hex = line.partition("\t")
+    if not tab:
+        raise ValueError(f"{path}: line {number} has no tab")
+    try:
+        return uid, bytes.fromhex(ak_hex)
+    except ValueError:
+        raise ValueError(f"{path}: line {number} has a malformed hex field") from None
 
 
 def _require_distinct(owner_id: str, image_ids: Iterable[str]) -> None:
@@ -216,6 +231,8 @@ class CloudNode:
             self._dims_of([q.eq])
             qs1, qs2 = feature_crypto.recover_sums(self.params, q.eq)
             query = SumPair(s1=qs1, s2=qs2, l=q.eq.dims)
+            if not query.is_consistent():
+                raise CorruptedSumsError(f"query sums of user {q.uid!r} violate Cauchy-Schwarz")
             stored = (s for oid in authorized for s in self._owners[oid].images.values())
             rows = (
                 s.row if use_index else self._make_row(s.row.owner_id, s.row.image_id, s.feature)
@@ -240,7 +257,6 @@ class CloudNode:
             if isinstance(command, AddImages):
                 self._add_images(record, command.items)
             elif isinstance(command, DeleteImages):
-                _require_distinct(owner_id, command.image_ids)
                 record.require_owned(command.image_ids)
                 for image_id in command.image_ids:
                     del record.images[image_id]
@@ -269,14 +285,15 @@ class CloudNode:
             _check_id(image_id, "image id")
             if image_id in record.images:
                 raise DuplicateImageError(f"{record.owner_id}/{image_id}")
+        _require_distinct(record.owner_id, (image_id for image_id, _, _ in items))
         staged = self._stage(record.owner_id, items)
         record.images.update(staged)
         self._dims = self._dims_of(stored.feature for stored in staged.values())
         return len(staged)
 
     def _stage(self, owner_id: str, items: Sequence[tuple]) -> dict[str, StoredImage]:
-        """``items`` as stored images with their recovered rows; stores nothing."""
-        _require_distinct(owner_id, (image_id for image_id, _, _ in items))
+        """``items``, whose ids are distinct, as stored images with their
+        recovered rows; stores nothing."""
         self._dims_of(feature for _, _, feature in items)
         return {
             image_id: StoredImage(enc_image, feature, self._make_row(owner_id, image_id, feature))
@@ -355,13 +372,12 @@ class CloudNode:
             if len(manifest) < 2 or manifest[0] != MANIFEST_HEADER:
                 raise ValueError(f"{base}: malformed manifest")
             owner_id = manifest[1]
-            aul = set()
-            for number, ln in enumerate(manifest[2:], 3):
-                uid, tab, ak_hex = ln.partition("\t")
-                if not tab:
-                    raise ValueError(f"{base / 'manifest'}: line {number} has no tab")
-                aul.add((uid, bytes.fromhex(ak_hex)))
-            record = OwnerRecord(owner_id=owner_id, aul=frozenset(aul))
+            _check_id(owner_id, "owner id")
+            if owner_id != base.name:
+                raise ValueError(f"{base}/manifest: owner id {owner_id!r} is not {base.name!r}")
+            aul = frozenset(read_credential(base / "manifest", number, ln)
+                            for number, ln in enumerate(manifest[2:], 3))
+            record = OwnerRecord(owner_id=owner_id, aul=aul)
             for pgm in sorted((base / "img").glob("*.pgm")):
                 image_id = pgm.stem
                 enc_image, _ = read_pgm(pgm)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import feature_crypto, group_crypto
 from .cloud_node import CloudNode, QueryEnvelope
-from .ehd_features import extract_ehd
+from .ehd_features import FEATURE_DIMS, extract_ehd
 from .group_crypto import GroupParams
 from .image_cipher import read_pgm, write_pgm
 from .protocol_sim import World, rank_by_euclidean
@@ -390,21 +390,19 @@ def run_retrieval_experiment(
     Each outcome carries three rankings over global item ids: ``new_dis``
     (what the cloud returns), ``euc_dis`` (the plaintext Euclidean baseline
     the harness computes for comparison) and ``user`` (the user's local
-    re-rank of the returned set).  Each query runs as its own authorized
-    user.
+    re-rank of the returned set).  Every query runs as one authorized
+    user, ``EVAL_USER``, in its own session.
     """
     if not corpus.items:
         raise ValueError("corpus is empty")
     max_pixels = max(item.image.size for item in corpus.items)
     world = World(params, seed, top_h=h, max_image_pixels=max_pixels)
-    uids = [f"{EVAL_USER}-{i:03d}" for i in range(len(queries))]
-    for uid in uids:
-        world.add_user(uid)
+    world.add_user(EVAL_USER)
     for owner_id, items in sorted(corpus.by_owner().items()):
         world.add_owner(
             owner_id,
             images=[(item.item_id, item.image) for item in items],
-            authorize=uids,
+            authorize=[EVAL_USER],
         )
 
     # plaintext features, reused for the Euclidean baseline
@@ -416,8 +414,8 @@ def run_retrieval_experiment(
     labels = corpus.labels()
 
     outcomes = []
-    for uid, (label, image) in zip(uids, queries):
-        session = world.run_session(uid, image)
+    for label, image in queries:
+        session = world.run_session(EVAL_USER, image)
         scored = rank_by_euclidean(extract_ehd(image), plain)
         outcomes.append(QueryOutcome(
             query_label=label,
@@ -514,6 +512,7 @@ class BenchReport:
 
 
 BENCH_MODES = ("plain", "enc_no_index", "enc_with_index", "index_build")
+BENCH_TOP_H = 100
 
 
 def bench(
@@ -522,12 +521,11 @@ def bench(
     params: GroupParams | None = None,
     seed: bytes | str = b"bench",
     reps: int = 5,
-    dims: int = 80,
-    top_h: int = 100,
 ) -> BenchReport:
     """Time the cloud's retrieval paths over synthetic features of each size.
 
-    One owner holds ``size`` features in a ``CloudNode``.  ``index_build``
+    One owner holds ``size`` random ``FEATURE_DIMS``-entry features in a
+    ``CloudNode``, and a query asks for the top ``BENCH_TOP_H``.  ``index_build``
     times its ``register_owner``; ``enc_with_index`` and ``enc_no_index``
     time ``retrieve_top_h`` with and without the index; ``plain`` ranks the
     plaintext vectors by Euclidean distance.  The rankings of the two
@@ -548,18 +546,18 @@ def bench(
 
     rng = np.random.default_rng(int.from_bytes(derive_seed(seed, b"vectors")[:8], "big"))
     largest = sizes[-1]
-    vectors = rng.integers(0, 256, size=(largest, dims))
+    vectors = rng.integers(0, 256, size=(largest, FEATURE_DIMS))
     ids = [f"img-{i:05d}" for i in range(largest)]
     features = [
         feature_crypto.encrypt_feature_pair(params, vectors[i], derive_seed(seed, f"v{i}"))
         for i in range(largest)
     ]
-    query_vec = rng.integers(0, 256, size=dims)
+    query_vec = rng.integers(0, 256, size=FEATURE_DIMS)
     query = QueryEnvelope(
         eq=feature_crypto.encrypt_feature_pair(params, query_vec, derive_seed(seed, b"q")),
         uid="bench-user",
         ak=derive_seed(seed, b"ak"),
-        h=top_h,
+        h=BENCH_TOP_H,
     )
     owner = "owner-1"
     # the cloud never looks inside the images, so one pixel stands in
@@ -578,7 +576,7 @@ def bench(
         if mode == "plain":
             return rank_by_euclidean(
                 query_vec, ((owner, ids[i], vectors[i]) for i in range(size))
-            )[:top_h]
+            )[:BENCH_TOP_H]
         if mode == "index_build":
             return build_cloud(size)
         return [(r.owner_id, r.image_id)

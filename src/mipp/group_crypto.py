@@ -54,8 +54,9 @@ class MalformedCiphertextError(ValueError):
     """Aggregate not of the form 1 + k*p: wrong params or corrupted data."""
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin test with witnesses drawn from a stream seeded by n."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin test, ``MILLER_RABIN_ROUNDS`` witnesses drawn from a
+    stream seeded by n."""
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -69,7 +70,7 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
         d //= 2
         r += 1
     witnesses = ByteStream(n.to_bytes((n.bit_length() + 7) // 8, "big"), b"mr")
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = witnesses.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -165,9 +166,7 @@ def gen_group_params(security_bits: int, seed: bytes | str) -> GroupParams:
     return params
 
 
-def params_from_primes(
-    p: int, q: int, h: int, security_bits: int | None = None
-) -> GroupParams:
+def params_from_primes(p: int, q: int, h: int) -> GroupParams:
     """Build parameters from explicit primes and subgroup seed ``h``.
 
     Intended for tests and interop with externally agreed parameters.
@@ -182,13 +181,7 @@ def params_from_primes(
     if g1 == 1:
         raise ValueError("h collapses to the trivial subgroup element")
     g2 = pow(g1, p, p * p)
-    params = GroupParams(
-        p=p,
-        q=q,
-        g1=g1,
-        g2=g2,
-        security_bits=security_bits if security_bits is not None else q.bit_length(),
-    )
+    params = GroupParams(p=p, q=q, g1=g1, g2=g2, security_bits=q.bit_length())
     params.validate()
     return params
 

@@ -4,8 +4,9 @@ Holds each owner's image-encryption keystream long-term and a query user's
 keystream only for the duration of one session.  Its single active duty is
 result re-encryption: decrypt each returned image under its owner's key,
 re-encrypt under the querying user's key, hand the batch back in order, and
-discard the user key.  A digest of every discarded user key is remembered so
-key reuse across sessions can be refused.
+discard the user key.  Any id may deposit a key, and an owner's key is never
+replaced.  A digest of every discarded user key is remembered, so a
+keystream spent in any session is refused for every user.
 
 The vault file on disk contains owner keys only (hex-encoded) and relies on
 the trusted-host assumption; it is owner-only from its first byte.
@@ -18,7 +19,7 @@ import hashlib
 import os
 import threading
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +29,7 @@ VAULT_HEADER = "MIPP-VAULT-1"
 
 
 class VaultError(KeyError):
-    """Owner key missing, or overwrite attempted without rotation."""
+    """Owner key missing, or a second key deposited for an owner."""
 
 
 class SessionError(KeyError):
@@ -36,33 +37,23 @@ class SessionError(KeyError):
 
 
 class KeyReuseError(ValueError):
-    """User deposited the same keystream as in an earlier session."""
+    """A deposited keystream was already spent in an earlier session."""
 
 
 class KmcNode:
-    """Key vault plus result re-encryption."""
+    """Key vault and result re-encryption; no id registry, no owner-key replacement."""
 
-    def __init__(
-        self,
-        known_owners: Iterable[str] | None = None,
-        known_users: Iterable[str] | None = None,
-    ):
+    def __init__(self):
         self._owner_keys: dict[str, bytes] = {}
         self._user_keys: dict[str, tuple[bytes, str]] = {}
-        self._spent_user_digests: dict[str, set[bytes]] = {}
-        self._known_owners = set(known_owners) if known_owners is not None else None
-        self._known_users = set(known_users) if known_users is not None else None
+        self._spent_digests: set[bytes] = set()
         self._lock = threading.Lock()
 
-    def register_owner_id(self, oid: str) -> None:
-        """Add an owner to the registry (enabled registries only)."""
-        if self._known_owners is not None:
-            self._known_owners.add(oid)
-
-    def register_user_id(self, uid: str) -> None:
-        """Add a user to the registry (enabled registries only)."""
-        if self._known_users is not None:
-            self._known_users.add(uid)
+    def _spend(self, uid: str) -> bytes:
+        """Pop ``uid``'s deposited key and remember its digest (lock held)."""
+        usk, _ = self._user_keys.pop(uid)
+        self._spent_digests.add(hashlib.sha256(usk).digest())
+        return usk
 
     def drop_user_key(self, uid: str) -> None:
         """Discard a deposited user key without using it (aborted session).
@@ -70,19 +61,14 @@ class KmcNode:
         The digest is still recorded so the keystream cannot be re-deposited.
         """
         with self._lock:
-            entry = self._user_keys.pop(uid, None)
-            if entry is not None:
-                self._spent_user_digests.setdefault(uid, set()).add(
-                    hashlib.sha256(entry[0]).digest()
-                )
+            if uid in self._user_keys:
+                self._spend(uid)
 
-    def store_owner_key(self, oid: str, sk: bytes, rotate: bool = False) -> None:
-        """Deposit an owner keystream; overwriting requires ``rotate``."""
-        if self._known_owners is not None and oid not in self._known_owners:
-            raise VaultError(f"owner {oid!r} not registered")
+    def store_owner_key(self, oid: str, sk: bytes) -> None:
+        """Deposit an owner keystream; a second key for an owner is refused."""
         with self._lock:
-            if oid in self._owner_keys and not rotate:
-                raise VaultError(f"owner key for {oid!r} exists; pass rotate=True")
+            if oid in self._owner_keys:
+                raise VaultError(f"owner key for {oid!r} exists")
             self._owner_keys[oid] = bytes(sk)
 
     def owner_key(self, oid: str) -> bytes:
@@ -93,13 +79,11 @@ class KmcNode:
 
     def store_user_key(self, uid: str, usk: bytes, session: str) -> None:
         """Deposit a per-query user keystream bound to one session."""
-        if self._known_users is not None and uid not in self._known_users:
-            raise SessionError(f"user {uid!r} not registered")
         digest = hashlib.sha256(usk).digest()
         with self._lock:
-            if digest in self._spent_user_digests.get(uid, set()):
+            if digest in self._spent_digests:
                 raise KeyReuseError(
-                    f"user {uid!r} reused a keystream from an earlier session"
+                    f"user {uid!r} deposited a keystream spent in an earlier session"
                 )
             self._user_keys[uid] = (bytes(usk), session)
 
@@ -119,19 +103,11 @@ class KmcNode:
         that call fails, and its digest is retained for the reuse check.
         """
         with self._lock:
-            if uid not in self._user_keys:
-                raise SessionError(f"no session key for user {uid!r}")
-            usk, bound_session = self._user_keys[uid]
-            if bound_session != session:
-                raise SessionError(
-                    f"key for user {uid!r} bound to session {bound_session!r}, "
-                    f"not {session!r}"
-                )
+            bound = self._user_keys.get(uid)
+            if bound is None or bound[1] != session:
+                raise SessionError(f"user {uid!r} holds no key for session {session!r}")
             # spend the key before using it, so no other call can use it too
-            del self._user_keys[uid]
-            self._spent_user_digests.setdefault(uid, set()).add(
-                hashlib.sha256(usk).digest()
-            )
+            usk = self._spend(uid)
         out = []
         for owner_id, image_id, enc_image in er:
             plain = image_dec(self.owner_key(owner_id), enc_image)
@@ -151,14 +127,17 @@ class KmcNode:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
-    def load_vault(cls, path: str | Path, **kwargs) -> "KmcNode":
+    def load_vault(cls, path: str | Path) -> "KmcNode":
         lines = Path(path).read_text().strip().splitlines()
         if not lines or lines[0] != VAULT_HEADER:
             raise ValueError(f"missing {VAULT_HEADER} header")
-        node = cls(**kwargs)
+        node = cls()
         for number, ln in enumerate(lines[1:], 2):
             oid, tab, hexkey = ln.partition("\t")
             if not tab:
                 raise ValueError(f"{path}: line {number} has no tab")
-            node._owner_keys[oid] = bytes.fromhex(hexkey)
+            try:
+                node._owner_keys[oid] = bytes.fromhex(hexkey)
+            except ValueError:
+                raise ValueError(f"{path}: line {number} has a malformed hex field") from None
         return node

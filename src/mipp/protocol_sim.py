@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import feature_crypto
-from .cloud_node import CloudNode, QueryEnvelope
+from .cloud_node import AuthorizationError, CloudNode, QueryEnvelope
 from .ehd_features import extract_ehd
 from .feature_crypto import EncryptedFeature
 from .group_crypto import GroupParams
@@ -192,9 +192,9 @@ def _w_uploads(out: bytearray, images) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes, offset: int = 0):
+    def __init__(self, data: bytes):
         self.data = data
-        self.offset = offset
+        self.offset = 0
 
     def take(self, n: int) -> bytes:
         if self.offset + n > len(self.data):
@@ -428,7 +428,6 @@ def decrypt_and_rerank(
 @dataclass
 class OwnerActor:
     owner_id: str
-    sk: bytes
     plain_images: dict[str, np.ndarray]
     plain_features: dict[str, np.ndarray]
 
@@ -470,7 +469,7 @@ class World:
         self.top_h = top_h
         self.max_image_pixels = max_image_pixels
         self.cloud = CloudNode(params)
-        self.kmc = KmcNode(known_owners=[], known_users=[])
+        self.kmc = KmcNode()
         self.owners: dict[str, OwnerActor] = {}
         self.users: dict[str, UserActor] = {}
         self.setup_transcript = SessionTranscript()
@@ -484,7 +483,6 @@ class World:
         ak = ByteStream(derive_seed(self.seed, f"ak:{uid}")).take(32)
         actor = UserActor(uid=uid, ak=ak)
         self.users[uid] = actor
-        self.kmc.register_user_id(uid)
         return actor
 
     def add_owner(
@@ -519,19 +517,19 @@ class World:
             session=setup_session,
             payload=OwnerUpload(owner_id=owner_id, aul=aul, images=tuple(uploads)),
         )
-        self._send(1, upload, self.setup_transcript, self._on_owner_upload)
+        self._send(1, upload, self.setup_transcript, lambda m: self.cloud.register_owner(
+            m.payload.owner_id, m.payload.aul, m.payload.images))
 
         deposit = Message(
             kind=MessageKind.OWNER_KEY_DEPOSIT,
             session=setup_session,
             payload=OwnerKeyDeposit(owner_id=owner_id, sk=sk),
         )
-        self.kmc.register_owner_id(owner_id)
-        self._send(2, deposit, self.setup_transcript, self._on_owner_key)
+        self._send(2, deposit, self.setup_transcript, lambda m: self.kmc.store_owner_key(
+            m.payload.owner_id, m.payload.sk))
 
         actor = OwnerActor(
             owner_id=owner_id,
-            sk=sk,
             plain_images=dict(images),
             plain_features=plain_features,
         )
@@ -543,7 +541,11 @@ class World:
     def run_session(
         self, uid: str, query_image: np.ndarray, h: int | None = None
     ) -> SessionResult:
-        """Run steps 3..7 for one query; aborts after a failed verification.
+        """Run steps 3..7 for one query.
+
+        The cloud's ``retrieve_top_h`` is the only authorization check: when
+        it refuses the user, the session notes the failure, drops the user
+        key at the KMC and ends unauthorized.
 
         Sessions of distinct users may run concurrently; everything random
         derives from (world seed, uid, per-user ordinal), so results do not
@@ -576,7 +578,8 @@ class World:
             session=session,
             payload=UserQuery(uid=uid, ak=user.ak, h=h, eq=eq),
         )
-        envelope = self._send(3, query_msg, transcript, self._on_user_query)
+        envelope = self._send(3, query_msg, transcript, lambda m: QueryEnvelope(
+            eq=m.payload.eq, uid=m.payload.uid, ak=m.payload.ak, h=m.payload.h))
 
         key_msg = Message(
             kind=MessageKind.USER_KEY_DEPOSIT,
@@ -591,7 +594,9 @@ class World:
                                               session.hex()),
         )
 
-        if not self.cloud.verify_user(envelope.uid, envelope.ak):
+        try:
+            retrieved = self.cloud.retrieve_top_h(envelope)
+        except AuthorizationError:
             transcript.note(f"authorization failed for uid={uid}")
             self.kmc.drop_user_key(uid)
             return SessionResult(
@@ -602,8 +607,6 @@ class World:
                 images={},
                 user_ranking=[],
             )
-
-        retrieved = self.cloud.retrieve_top_h(envelope)
         er = tuple((r.owner_id, r.image_id, r.enc_image) for r in retrieved)
 
         to_kmc = Message(
@@ -658,17 +661,6 @@ class World:
         data = encode_message(message)
         transcript.record(step, data, message.kind, message.session)
         return handler(decode_message(data))
-
-    def _on_owner_upload(self, m: Message) -> None:
-        p = m.payload
-        self.cloud.register_owner(p.owner_id, p.aul, p.images)
-
-    def _on_owner_key(self, m: Message) -> None:
-        self.kmc.store_owner_key(m.payload.owner_id, m.payload.sk)
-
-    def _on_user_query(self, m: Message) -> QueryEnvelope:
-        p = m.payload
-        return QueryEnvelope(eq=p.eq, uid=p.uid, ak=p.ak, h=p.h)
 
 
 def scan_cloud_for_plaintext(world: World) -> list[str]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mipp.cli import main
-from mipp.cloud_node import OwnershipError
+from mipp.cloud_node import DuplicateImageError, OwnershipError
 from mipp.evaluation import SynthSpec, synth_corpus, write_corpus
 from mipp.group_crypto import load_params
 from mipp.image_cipher import read_pgm, write_pgm
@@ -161,6 +161,34 @@ def test_reencrypt_of_an_image_the_owner_lacks_changes_nothing(store_dir, tmp_pa
         main(["update", "--store", str(store), "--owner", "owner-1",
               "--reencrypt", "nope", "--seed", "u4"])
     assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == before
+
+
+def test_repeated_reencrypt_id_refused_before_the_session_counter(store_dir, tmp_path):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    image_id = sorted((store / "cloud" / "owners" / "owner-1" / "img").glob("*.pgm"))[0].stem
+    before = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
+    with pytest.raises(DuplicateImageError, match=f"owner-1/{image_id}"):
+        main(["update", "--store", str(store), "--owner", "owner-1",
+              "--reencrypt", f"{image_id},{image_id}", "--seed", "u5"])
+    assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("path, line", [
+    ("vault", 2),
+    ("users.tsv", 2),
+    ("cloud/owners/owner-1/manifest", 3),
+], ids=["vault", "users", "manifest"])
+def test_bad_hex_field_names_the_file_and_line(store_dir, tmp_path, path, line):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    target = store / path
+    lines = target.read_text().splitlines()
+    key, hex_field = lines[line - 1].split("\t")
+    lines[line - 1] = f"{key}\tzz{hex_field[2:]}"
+    target.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{path}: line {line} has a malformed hex field"):
+        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])
 
 
 def test_users_file_without_users_names_the_file(store_dir, corpus_dir, tmp_path):

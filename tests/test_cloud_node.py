@@ -21,9 +21,9 @@ from mipp.cloud_node import (
     UnknownOwnerError,
     UpdateImages,
 )
-from mipp.feature_crypto import encrypt_feature_pair, feature_to_text
-from mipp.group_crypto import gen_group_params
-from mipp.similarity import SumPair, new_dis, rank_key
+from mipp.feature_crypto import EncryptedFeature, encrypt_feature_pair, feature_to_text
+from mipp.group_crypto import encrypt_vector, gen_group_params
+from mipp.similarity import CorruptedSumsError, SumPair, new_dis, rank_key
 
 PARAMS = gen_group_params(32, b"cloud-tests")
 AK1 = bytes(range(32))
@@ -294,6 +294,38 @@ def test_manifest_line_without_tab_names_the_file(tmp_path):
     manifest.write_text(manifest.read_text() + "alice\n")
     with pytest.raises(ValueError, match="owner-1/manifest: line 4 has no tab"):
         CloudNode.load_store(tmp_path / "store", PARAMS)
+
+
+@pytest.mark.parametrize("owner_id, message", [
+    ("../../escaped", "owner id '../../escaped' must match"),
+    ("owner-3", "owner id 'owner-3' is not 'owner-1'"),
+], ids=["escaping", "other-owner"])
+def test_manifest_owner_id_must_be_its_directory(tmp_path, owner_id, message):
+    # a manifest naming another directory would make the next save_store
+    # write that owner's files there, outside owners/ for '../../escaped'
+    cloud = make_cloud()
+    cloud.save_store(tmp_path / "store")
+    manifest = tmp_path / "store" / "owners" / "owner-1" / "manifest"
+    manifest.write_text(manifest.read_text().replace("\nowner-1\n", f"\n{owner_id}\n"))
+    index = tmp_path / "store" / "index.tsv"
+    index.write_text(index.read_text().replace("\nowner-1\t", f"\n{owner_id}\t"))
+    with pytest.raises(ValueError, match=message):
+        CloudNode.load_store(tmp_path / "store", PARAMS)
+
+
+@pytest.mark.parametrize("use_index", [True, False])
+def test_query_whose_sums_violate_cauchy_schwarz_is_refused(use_index):
+    # sum 80 * 255 with a zero sum of squares: no real vector has these sums
+    eq = EncryptedFeature(
+        ef=encrypt_vector(PARAMS, [255] * 80, b"ef"),
+        eff=encrypt_vector(PARAMS, [0] * 80, b"eff"),
+        params_id=PARAMS.params_id,
+    )
+    cloud = CloudNode(PARAMS)
+    cloud.register_owner("owner-1", [("alice", AK1)],
+                         [("img-a", enc_img(1), upload([1] * 80, b"a"))])
+    with pytest.raises(CorruptedSumsError, match="query sums of user 'alice'"):
+        cloud.retrieve_top_h(QueryEnvelope(eq=eq, uid="alice", ak=AK1), use_index=use_index)
 
 
 def test_index_rows_are_the_four_table_columns():

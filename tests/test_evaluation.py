@@ -243,7 +243,7 @@ def test_experiment_determinism():
 
 @pytest.fixture(scope="module")
 def small_bench():
-    return bench([50, 500], params=PARAMS, seed=b"bench-unit", reps=3, dims=20)
+    return bench([50, 500], params=PARAMS, seed=b"bench-unit", reps=3)
 
 
 def test_bench_rows_and_modes(small_bench):

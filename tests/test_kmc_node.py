@@ -23,17 +23,7 @@ def test_owner_key_overwrite_needs_rotate():
     kmc.store_owner_key("o1", b"\x01" * 8)
     with pytest.raises(VaultError):
         kmc.store_owner_key("o1", b"\x02" * 8)
-    kmc.store_owner_key("o1", b"\x02" * 8, rotate=True)
-    assert kmc.owner_key("o1") == b"\x02" * 8
-
-
-def test_registry_enforced_when_given():
-    kmc = KmcNode(known_owners={"o1"}, known_users={"u1"})
-    kmc.store_owner_key("o1", b"\x01" * 4)
-    with pytest.raises(VaultError):
-        kmc.store_owner_key("o2", b"\x01" * 4)
-    with pytest.raises(SessionError):
-        kmc.store_user_key("u2", b"\x02" * 4, "s1")
+    assert kmc.owner_key("o1") == b"\x01" * 8
 
 
 def test_reencrypt_roundtrip():
@@ -97,6 +87,15 @@ def test_key_reuse_across_sessions_flagged():
     with pytest.raises(KeyReuseError):
         kmc.store_user_key("u1", b"\x02" * 36, "s2")
     kmc.store_user_key("u1", b"\x03" * 36, "s2")  # fresh key accepted
+
+
+def test_spent_keystream_refused_for_every_user():
+    kmc = KmcNode()
+    kmc.store_user_key("u1", b"\x02" * 36, "s1")
+    kmc.drop_user_key("u1")
+    with pytest.raises(KeyReuseError):
+        kmc.store_user_key("u2", b"\x02" * 36, "s2")
+    assert not kmc.has_user_key("u2")
 
 
 def test_session_binding_enforced():
