@@ -15,15 +15,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import evaluation, feature_crypto, group_crypto
-from .cloud_node import (AddImages, CloudNode, DeleteImages, QueryEnvelope, UpdateImages,
-                         read_credential)
-from .ehd_features import extract_ehd
-# image_enc is not called here; it stays bound so that instrumentation which
-# wraps this module's image-cipher names finds every one of them.
+from . import evaluation, group_crypto
+from .cloud_node import AddImages, CloudNode, DeleteImages, UpdateImages, read_credential
+# extract_ehd and image_enc are not called here; they stay bound so that
+# instrumentation which wraps this module's names finds every one of them.
+from .ehd_features import extract_ehd  # noqa: F401
 from .image_cipher import image_dec, image_enc, keygen, read_pgm, write_pgm  # noqa: F401
 from .kmc_node import KmcNode
-from .protocol_sim import decrypt_and_rerank, encrypt_uploads
+from .protocol_sim import encrypt_uploads, query_session
 from .rng import derive_seed
 
 USERS_HEADER = "uid\tak_hex"
@@ -42,8 +41,12 @@ def _load_store(store: Path):
     lines = (store / "users.tsv").read_text().strip().splitlines()
     if not lines or lines[0] != USERS_HEADER:
         raise ValueError("users.tsv missing or malformed")
-    users = dict(read_credential(store / "users.tsv", number, ln)
-                 for number, ln in enumerate(lines[1:], 2))
+    users = {}
+    for number, ln in enumerate(lines[1:], 2):
+        uid, ak = read_credential(store / "users.tsv", number, ln)
+        if uid in users:
+            raise ValueError(f"{store / 'users.tsv'}: line {number} repeats user {uid!r}")
+        users[uid] = ak
     if not users:
         raise ValueError(f"{store / 'users.tsv'} lists no user")
     return params, cloud, kmc, users
@@ -118,38 +121,28 @@ def cmd_query(args) -> int:
     store = Path(args.store)
     params, cloud, kmc, users = _load_store(store)
     uid, ak = next(iter(users.items()))
-    seed = args.seed.encode()
     ordinal = _next_session(store)
-
     image, _ = read_pgm(args.image)
-    feature = extract_ehd(image)
-    eq = feature_crypto.encrypt_feature_pair(
-        params, feature, derive_seed(seed, f"query:{ordinal}")
+    result = query_session(
+        params, cloud, kmc, uid, ak, image, args.top_h, args.seed.encode(), ordinal,
+        _max_stored_pixels(cloud),
+        lambda step, message, transcript, handler: handler(message),
     )
-    usk = keygen(
-        128, _max_stored_pixels(cloud), derive_seed(seed, f"usk:{uid}:{ordinal}")
-    )
-    session = f"cli-{ordinal}"
-    kmc.store_user_key(uid, usk, session)
-
-    results = cloud.retrieve_top_h(QueryEnvelope(eq=eq, uid=uid, ak=ak, h=args.top_h))
-    ner = kmc.reencrypt_results(
-        [(r.owner_id, r.image_id, r.enc_image) for r in results], uid, session
-    )
-
-    images, ranked = decrypt_and_rerank(usk, feature, ner)
-    distance = {(r.owner_id, r.image_id): r.distance for r in results}
+    if not result.authorized:
+        print(f"user {uid!r} is authorized by no owner", file=sys.stderr)
+        return 1
 
     lines = ["user_rank\towner_id\timage_id\tcloud_distance\tlocal_euclidean"]
-    for rank, (gap, owner_id, image_id) in enumerate(ranked, 1):
+    for rank, (gap, owner_id, image_id) in enumerate(result.ranking, 1):
         key = (owner_id, image_id)
         lines.append(
-            f"{rank}\t{owner_id}\t{image_id}\t{distance[key]:.4f}\t{gap ** 0.5:.4f}"
+            f"{rank}\t{owner_id}\t{image_id}\t{result.cloud_distance[key]:.4f}"
+            f"\t{gap ** 0.5:.4f}"
         )
         if args.save_images:
             out_dir = Path(args.save_images)
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_pgm(out_dir / f"{rank:03d}_{owner_id}_{image_id}.pgm", images[key])
+            write_pgm(out_dir / f"{rank:03d}_{owner_id}_{image_id}.pgm", result.images[key])
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

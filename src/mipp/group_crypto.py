@@ -114,6 +114,10 @@ class GroupParams:
             raise ValueError("p is not prime")
         if not is_probable_prime(self.q):
             raise ValueError("q is not prime")
+        if self.security_bits != self.q.bit_length():
+            raise ValueError(
+                f"security_bits {self.security_bits} is not q's {self.q.bit_length()} bits"
+            )
         if (self.p - 1) % self.q != 0:
             raise ValueError("q does not divide p - 1")
         if self.g1 % self.p in (0, 1):

@@ -136,6 +136,8 @@ class KmcNode:
             oid, tab, hexkey = ln.partition("\t")
             if not tab:
                 raise ValueError(f"{path}: line {number} has no tab")
+            if oid in node._owner_keys:
+                raise ValueError(f"{path}: line {number} repeats owner {oid!r}")
             try:
                 node._owner_keys[oid] = bytes.fromhex(hexkey)
             except ValueError:

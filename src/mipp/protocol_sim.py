@@ -7,10 +7,13 @@ user key to the KMC, encrypted results from cloud to KMC, re-encrypted
 results back to the cloud, and final delivery to the user, who decrypts,
 re-extracts features locally and sorts by plaintext Euclidean distance.
 
-All actors live in one process, but every hop serializes the message to the
-canonical wire format and parses it back before the recipient acts, so a
-socket transport can be dropped in without touching actor logic.  Every
-random choice derives from the world seed, making transcripts byte-identical
+Steps 3..7 are written once, in ``query_session``, which hands each message
+to its recipient through a transport it is given.  All actors live in one
+process.  ``World`` hops go through the wire: every message is serialized to
+the canonical wire format, recorded in the transcript and parsed back before
+the recipient acts, so a socket transport can be dropped in without touching
+actor logic.  ``mipp query`` hands the same messages over in process.  Every
+random choice derives from the seed, making transcripts byte-identical
 across runs.
 """
 
@@ -66,14 +69,6 @@ class OwnerUpload:
 class OwnerKeyDeposit:
     owner_id: str
     sk: bytes
-
-
-@dataclass(frozen=True)
-class UserQuery:
-    uid: str
-    ak: bytes
-    h: int
-    eq: EncryptedFeature
 
 
 @dataclass(frozen=True)
@@ -167,30 +162,6 @@ def _w_feature(out: bytearray, f: EncryptedFeature) -> None:
         _w_bigint(out, c)
 
 
-def _w_results(out: bytearray, results) -> None:
-    out += struct.pack(">I", len(results))
-    for owner_id, image_id, img in results:
-        _w_str(out, owner_id)
-        _w_str(out, image_id)
-        _w_image(out, img)
-
-
-def _w_aul(out: bytearray, aul) -> None:
-    entries = sorted((uid, bytes(ak)) for uid, ak in aul)
-    out += struct.pack(">I", len(entries))
-    for uid, ak in entries:
-        _w_str(out, uid)
-        _w_bytes(out, ak)
-
-
-def _w_uploads(out: bytearray, images) -> None:
-    out += struct.pack(">I", len(images))
-    for image_id, img, feature in images:
-        _w_str(out, image_id)
-        _w_image(out, img)
-        _w_feature(out, feature)
-
-
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -237,26 +208,29 @@ class _Reader:
         dims = self.u16()
         ef = tuple(self.r_bigint() for _ in range(dims))
         eff = tuple(self.r_bigint() for _ in range(dims))
-        try:
-            return EncryptedFeature(ef=ef, eff=eff, params_id=params_id)
-        except ValueError as exc:
-            raise DecodeError(str(exc), self.offset) from None
+        return EncryptedFeature(ef=ef, eff=eff, params_id=params_id)
 
-    def r_results(self) -> tuple[tuple[str, str, np.ndarray], ...]:
-        count = self.u32()
-        if count > 1 << 20:
-            raise DecodeError(f"implausible result count {count}", self.offset)
-        return tuple(
-            (self.r_str(), self.r_str(), self.r_image()) for _ in range(count)
-        )
 
-    def r_aul(self) -> tuple[tuple[str, bytes], ...]:
-        return tuple((self.r_str(), self.r_bytes()) for _ in range(self.u32()))
+def _seq(*fields, sort: bool = False):
+    """Codec of a u32 count, then that many tuples of ``fields``, in order
+    or, with ``sort``, sorted; a count beyond the remaining bytes is refused."""
+    writers, readers = zip(*fields)
 
-    def r_uploads(self) -> tuple[tuple[str, np.ndarray, EncryptedFeature], ...]:
-        return tuple(
-            (self.r_str(), self.r_image(), self.r_feature()) for _ in range(self.u32())
-        )
+    def write(out: bytearray, items) -> None:
+        items = sorted(items) if sort else items
+        out += struct.pack(">I", len(items))
+        for item in items:
+            for write_field, value in zip(writers, item):
+                write_field(out, value)
+
+    def read(reader: _Reader) -> tuple:
+        count = reader.u32()
+        if count > len(reader.data) - reader.offset:
+            raise DecodeError(f"count {count} exceeds the remaining bytes", reader.offset)
+        return tuple([tuple([read_field(reader) for read_field in readers])
+                      for _ in range(count)])
+
+    return write, read
 
 
 # Each kind's payload type and its fields in wire order, with the writer
@@ -265,14 +239,15 @@ _STR = (_w_str, _Reader.r_str)
 _BYTES = (_w_bytes, _Reader.r_bytes)
 _U32 = (_w_u32, _Reader.u32)
 _FEATURE = (_w_feature, _Reader.r_feature)
-_RESULTS = (_w_results, _Reader.r_results)
+_IMAGE = (_w_image, _Reader.r_image)
+_RESULTS = _seq(_STR, _STR, _IMAGE)
 _WIRE = {
     MessageKind.OWNER_UPLOAD: (OwnerUpload, (
-        ("owner_id", _STR), ("aul", (_w_aul, _Reader.r_aul)),
-        ("images", (_w_uploads, _Reader.r_uploads)),
+        ("owner_id", _STR), ("aul", _seq(_STR, _BYTES, sort=True)),
+        ("images", _seq(_STR, _IMAGE, _FEATURE)),
     )),
     MessageKind.OWNER_KEY_DEPOSIT: (OwnerKeyDeposit, (("owner_id", _STR), ("sk", _BYTES))),
-    MessageKind.USER_QUERY: (UserQuery, (
+    MessageKind.USER_QUERY: (QueryEnvelope, (
         ("uid", _STR), ("ak", _BYTES), ("h", _U32), ("eq", _FEATURE),
     )),
     MessageKind.USER_KEY_DEPOSIT: (UserKeyDeposit, (("uid", _STR), ("usk", _BYTES))),
@@ -312,7 +287,12 @@ def decode_message(data: bytes) -> Message:
     session = reader.take(SESSION_ID_BYTES)
 
     payload_type, fields = _WIRE[kind]
-    payload = payload_type(**{name: read(reader) for name, (_, read) in fields})
+    try:
+        payload = payload_type(**{name: read(reader) for name, (_, read) in fields})
+    except DecodeError:
+        raise
+    except ValueError as exc:  # a field or payload constructor refused its value
+        raise DecodeError(str(exc), reader.offset) from None
 
     if reader.offset != len(data):
         raise DecodeError("trailing bytes after message body", reader.offset)
@@ -441,12 +421,83 @@ class UserActor:
 
 @dataclass
 class SessionResult:
+    """One query's outcome: the cloud's top-h in its order with each image's
+    cloud distance, the decrypted images, and the user's re-rank as
+    (squared Euclidean distance, owner id, image id), nearest first."""
+
     session: str
     authorized: bool
     transcript: SessionTranscript
     returned: list[tuple[str, str]]
+    cloud_distance: dict[tuple[str, str], float]
     images: dict[tuple[str, str], np.ndarray]
-    user_ranking: list[tuple[str, str]]
+    ranking: list[tuple[int, str, str]]
+
+    @property
+    def user_ranking(self) -> list[tuple[str, str]]:
+        return [(o, i) for _, o, i in self.ranking]
+
+
+def query_session(
+    params: GroupParams,
+    cloud: CloudNode,
+    kmc: KmcNode,
+    uid: str,
+    ak: bytes,
+    query_image: np.ndarray,
+    h: int,
+    seed: bytes | str,
+    ordinal: int,
+    key_len: int,
+    send: Callable[[int, Message, SessionTranscript, Callable[[Message], object]], object],
+) -> SessionResult:
+    """Steps 3..7 of user ``uid``'s ``ordinal``-th query, then the user's
+    local re-rank.
+
+    ``send(step, message, transcript, handler)`` carries each message to
+    its recipient and returns ``handler``'s result on it.  The cloud's
+    ``retrieve_top_h`` is the only authorization check: when it refuses the
+    user, the session notes the failure, drops the user key at the KMC and
+    ends unauthorized.  Everything random derives from (seed, uid, ordinal);
+    the user key covers ``key_len`` pixels.
+    """
+    session = ByteStream(derive_seed(seed, f"session:{uid}:{ordinal}")).take(SESSION_ID_BYTES)
+    sid = session.hex()
+    transcript = SessionTranscript()
+    query_feature = extract_ehd(query_image)
+    eq = feature_crypto.encrypt_feature_pair(
+        params, query_feature, derive_seed(seed, f"query-feature:{uid}:{ordinal}")
+    )
+    usk = keygen(128, key_len, derive_seed(seed, f"usk:{uid}:{ordinal}"))
+
+    def hop(step: int, kind: MessageKind, payload, handler: Callable[[Message], object]):
+        return send(step, Message(kind, session, payload), transcript, handler)
+
+    envelope = hop(3, MessageKind.USER_QUERY, QueryEnvelope(eq=eq, uid=uid, ak=ak, h=h),
+                   lambda m: m.payload)
+    hop(4, MessageKind.USER_KEY_DEPOSIT, UserKeyDeposit(uid=uid, usk=usk),
+        lambda m: kmc.store_user_key(m.payload.uid, m.payload.usk, sid))
+    try:
+        retrieved = cloud.retrieve_top_h(envelope)
+    except AuthorizationError:
+        transcript.note(f"authorization failed for uid={uid}")
+        kmc.drop_user_key(uid)
+        return SessionResult(session=sid, authorized=False, transcript=transcript,
+                             returned=[], cloud_distance={}, images={}, ranking=[])
+    er = tuple((r.owner_id, r.image_id, r.enc_image) for r in retrieved)
+
+    ner = hop(5, MessageKind.CLOUD_TO_KMC, CloudToKmc(uid=uid, ak=ak, results=er),
+              lambda m: tuple(kmc.reencrypt_results(list(m.payload.results), m.payload.uid, sid)))
+    forwarded = hop(6, MessageKind.KMC_TO_CLOUD, KmcToCloud(uid=uid, results=ner),
+                    lambda m: m.payload.results)
+    delivered = hop(7, MessageKind.CLOUD_TO_USER, CloudToUser(uid=uid, results=forwarded),
+                    lambda m: m.payload.results)
+
+    images, ranking = decrypt_and_rerank(usk, query_feature, delivered)
+    return SessionResult(session=sid, authorized=True, transcript=transcript,
+                         returned=[(o, i) for o, i, _ in er],
+                         cloud_distance={(r.owner_id, r.image_id): r.distance for r in retrieved},
+                         images=images, ranking=ranking)
 
 
 class World:
@@ -541,113 +592,20 @@ class World:
     def run_session(
         self, uid: str, query_image: np.ndarray, h: int | None = None
     ) -> SessionResult:
-        """Run steps 3..7 for one query.
-
-        The cloud's ``retrieve_top_h`` is the only authorization check: when
-        it refuses the user, the session notes the failure, drops the user
-        key at the KMC and ends unauthorized.
+        """Run steps 3..7 for one query through ``query_session``, every hop
+        over the wire.
 
         Sessions of distinct users may run concurrently; everything random
         derives from (world seed, uid, per-user ordinal), so results do not
         depend on scheduling.
         """
         user = self.users[uid]
-        h = self.top_h if h is None else h
         with self._lock:
             ordinal = user.sessions_run
             user.sessions_run += 1
-        session = ByteStream(
-            derive_seed(self.seed, f"session:{uid}:{ordinal}")
-        ).take(SESSION_ID_BYTES)
-        transcript = SessionTranscript()
-
-        query_feature = extract_ehd(query_image)
-        eq = feature_crypto.encrypt_feature_pair(
-            self.params,
-            query_feature,
-            derive_seed(self.seed, f"query-feature:{uid}:{ordinal}"),
-        )
-        usk = keygen(
-            128,
-            self.max_image_pixels,
-            derive_seed(self.seed, f"usk:{uid}:{ordinal}"),
-        )
-
-        query_msg = Message(
-            kind=MessageKind.USER_QUERY,
-            session=session,
-            payload=UserQuery(uid=uid, ak=user.ak, h=h, eq=eq),
-        )
-        envelope = self._send(3, query_msg, transcript, lambda m: QueryEnvelope(
-            eq=m.payload.eq, uid=m.payload.uid, ak=m.payload.ak, h=m.payload.h))
-
-        key_msg = Message(
-            kind=MessageKind.USER_KEY_DEPOSIT,
-            session=session,
-            payload=UserKeyDeposit(uid=uid, usk=usk),
-        )
-        self._send(
-            4,
-            key_msg,
-            transcript,
-            lambda m: self.kmc.store_user_key(m.payload.uid, m.payload.usk,
-                                              session.hex()),
-        )
-
-        try:
-            retrieved = self.cloud.retrieve_top_h(envelope)
-        except AuthorizationError:
-            transcript.note(f"authorization failed for uid={uid}")
-            self.kmc.drop_user_key(uid)
-            return SessionResult(
-                session=session.hex(),
-                authorized=False,
-                transcript=transcript,
-                returned=[],
-                images={},
-                user_ranking=[],
-            )
-        er = tuple((r.owner_id, r.image_id, r.enc_image) for r in retrieved)
-
-        to_kmc = Message(
-            kind=MessageKind.CLOUD_TO_KMC,
-            session=session,
-            payload=CloudToKmc(uid=uid, ak=user.ak, results=er),
-        )
-        ner = self._send(
-            5,
-            to_kmc,
-            transcript,
-            lambda m: tuple(
-                self.kmc.reencrypt_results(
-                    list(m.payload.results), m.payload.uid, session.hex()
-                )
-            ),
-        )
-
-        to_cloud = Message(
-            kind=MessageKind.KMC_TO_CLOUD,
-            session=session,
-            payload=KmcToCloud(uid=uid, results=ner),
-        )
-        forwarded = self._send(6, to_cloud, transcript, lambda m: m.payload.results)
-
-        to_user = Message(
-            kind=MessageKind.CLOUD_TO_USER,
-            session=session,
-            payload=CloudToUser(uid=uid, results=forwarded),
-        )
-        delivered = self._send(7, to_user, transcript, lambda m: m.payload.results)
-
-        images, ranked = decrypt_and_rerank(usk, query_feature, delivered)
-        return SessionResult(
-            session=session.hex(),
-            authorized=True,
-            transcript=transcript,
-            returned=[(o, i) for o, i, _ in er],
-            images=images,
-            user_ranking=[(o, i) for _, o, i in ranked],
-        )
+        return query_session(self.params, self.cloud, self.kmc, uid, user.ak, query_image,
+                             self.top_h if h is None else h, self.seed, ordinal,
+                             self.max_image_pixels, self._send)
 
     # -- message handlers --------------------------------------------------
 

@@ -5,9 +5,12 @@ import pytest
 
 from mipp.cli import main
 from mipp.cloud_node import DuplicateImageError, OwnershipError
-from mipp.evaluation import SynthSpec, synth_corpus, write_corpus
+from mipp.ehd_features import extract_ehd
+from mipp.evaluation import SynthSpec, load_corpus, synth_corpus, write_corpus
 from mipp.group_crypto import load_params
 from mipp.image_cipher import read_pgm, write_pgm
+from mipp.protocol_sim import World
+from mipp.similarity import SumPair, sim_from_sums
 
 TINY = SynthSpec(categories=4, per_category=8)
 
@@ -199,3 +202,66 @@ def test_users_file_without_users_names_the_file(store_dir, corpus_dir, tmp_path
     query_image = sorted((corpus_dir / "cat00").glob("*.pgm"))[0]
     with pytest.raises(ValueError, match="users.tsv lists no user"):
         main(["query", "--store", str(store), "--image", str(query_image)])
+
+
+def test_users_file_repeating_a_user_names_the_file_and_line(store_dir, tmp_path):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    users = store / "users.tsv"
+    lines = users.read_text().splitlines()
+    users.write_text("\n".join(lines + [lines[1]]) + "\n")
+    with pytest.raises(ValueError, match="users.tsv: line 3 repeats user 'user-1'"):
+        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])
+
+
+def test_query_by_a_user_no_owner_authorizes_exits_1(store_dir, corpus_dir, tmp_path, capsys):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    (store / "users.tsv").write_text(f"uid\tak_hex\nuser-1\t{'00' * 32}\n")
+
+    def files():
+        return {p: p.read_bytes() for p in store.rglob("*")
+                if p.is_file() and p.name != "session.counter"}
+
+    before = files()
+    query_image = sorted((corpus_dir / "cat00").glob("*.pgm"))[0]
+    capsys.readouterr()
+    rc = main(["query", "--store", str(store), "--image", str(query_image)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "'user-1'" in captured.err and captured.out == ""
+    assert files() == before
+
+
+def test_cli_query_matches_a_world_session_on_the_same_corpus(corpus_dir, tmp_path):
+    store = tmp_path / "store"
+    assert main(["ingest", "--corpus", str(corpus_dir), "--store", str(store),
+                 "--owners", "2", "--seed", "diff"]) == 0
+    query_path = sorted((corpus_dir / "cat01").glob("*.pgm"))[2]
+    out = tmp_path / "results.tsv"
+    assert main(["query", "--store", str(store), "--image", str(query_path),
+                 "--top-h", "10", "--seed", "diff", "--out", str(out)]) == 0
+    rows = [ln.split("\t") for ln in out.read_text().splitlines()[1:]]
+
+    corpus = load_corpus(corpus_dir, owners=2)
+    world = World(load_params(store / "params.txt"), b"diff",
+                  max_image_pixels=max(item.image.size for item in corpus.items))
+    world.add_user("user-1")
+    for owner_id, items in sorted(corpus.by_owner().items()):
+        world.add_owner(owner_id, [(item.item_id, item.image) for item in items],
+                        authorize=["user-1"])
+    query = read_pgm(query_path)[0]
+    result = world.run_session("user-1", query, 10)
+    # the World's cloud distance of each image, from the sums in its index
+    query_sums = SumPair.from_vector(extract_ehd(query))
+    world_distance = {
+        (e.owner_id, e.image_id): sim_from_sums(query_sums, SumPair(e.s1, e.s2, query_sums.l))
+        for e in world.cloud.index
+    }
+
+    assert result.authorized and len(result.returned) == 10
+    assert {(o, i) for _, o, i, _, _ in rows} == set(result.returned)
+    assert [(o, i) for _, o, i, _, _ in rows] == result.user_ranking
+    assert [d for _, o, i, d, _ in rows] == [
+        f"{world_distance[key]:.4f}" for key in result.user_ranking
+    ]

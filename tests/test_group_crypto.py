@@ -163,6 +163,13 @@ def test_params_text_rejects_bad_input(test_params):
         params_from_text(mangled)
 
 
+def test_params_record_must_state_the_bits_of_q(test_params):
+    lines = params_to_text(test_params).splitlines()
+    lines[5] = "1024"
+    with pytest.raises(ValueError, match="security_bits 1024 is not q's 32 bits"):
+        params_from_text("\n".join(lines) + "\n")
+
+
 def test_validate_rejects_inconsistent_params(tiny_params):
     broken = GroupParams(
         p=tiny_params.p,

@@ -240,3 +240,13 @@ def test_vault_line_without_tab_names_the_file(tmp_path):
     path.write_text(path.read_text() + "o2\n")
     with pytest.raises(ValueError, match="vault: line 3 has no tab"):
         KmcNode.load_vault(path)
+
+
+def test_vault_repeating_an_owner_names_the_file_and_line(tmp_path):
+    kmc = KmcNode()
+    kmc.store_owner_key("owner-1", b"\xaa\xbb")
+    path = tmp_path / "vault"
+    kmc.save_vault(path)
+    path.write_text(path.read_text() + "owner-1\tccdd\n")
+    with pytest.raises(ValueError, match="vault: line 3 repeats owner 'owner-1'"):
+        KmcNode.load_vault(path)

@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from mipp.cloud_node import QueryEnvelope
 from mipp.feature_crypto import encrypt_feature_pair
 from mipp.group_crypto import gen_group_params
 from mipp.protocol_sim import (
@@ -13,7 +16,6 @@ from mipp.protocol_sim import (
     OwnerKeyDeposit,
     OwnerUpload,
     UserKeyDeposit,
-    UserQuery,
     World,
     decode_message,
     encode_message,
@@ -42,7 +44,7 @@ def minimal_messages():
         Message(MessageKind.OWNER_KEY_DEPOSIT, SESSION,
                 OwnerKeyDeposit("o1", b"\x02\x03")),
         Message(MessageKind.USER_QUERY, SESSION,
-                UserQuery("u1", b"\x01", 5, feature)),
+                QueryEnvelope(uid="u1", ak=b"\x01", h=5, eq=feature)),
         Message(MessageKind.USER_KEY_DEPOSIT, SESSION,
                 UserKeyDeposit("u1", b"\x04")),
         Message(MessageKind.CLOUD_TO_KMC, SESSION,
@@ -106,6 +108,31 @@ def test_trailing_bytes_rejected():
     data = encode_message(minimal_messages()[1])
     with pytest.raises(DecodeError):
         decode_message(data[:4] + data[4:] + b"\x00")
+
+
+def test_user_query_with_h_zero_raises_decode_error():
+    data = bytearray(encode_message(minimal_messages()[2]))
+    # frame header (4 + 1 + 16), uid "u1" (2 + 2), ak b"\x01" (4 + 1), then h
+    at = 21 + 4 + 5
+    assert data[at:at + 4] == struct.pack(">I", 5)
+    data[at:at + 4] = struct.pack(">I", 0)
+    with pytest.raises(DecodeError, match="h must be >= 1") as err:
+        decode_message(bytes(data))
+    assert err.value.offset == len(data)
+
+
+@pytest.mark.parametrize("index, at", [
+    (0, 21 + 4),  # the AUL, after the owner id "o1"
+    (0, 21 + 4 + 4 + 4 + 5),  # the uploads, after one AUL entry
+    (4, 21 + 4 + 5),  # the results, after uid "u1" and ak b"\x01"
+], ids=["aul", "uploads", "results"])
+def test_sequence_count_beyond_the_remaining_bytes_is_refused(index, at):
+    data = bytearray(encode_message(minimal_messages()[index]))
+    assert data[at:at + 4] == struct.pack(">I", 1)
+    data[at:at + 4] = struct.pack(">I", 0xFFFFFFFF)
+    with pytest.raises(DecodeError, match="exceeds the remaining bytes") as err:
+        decode_message(bytes(data))
+    assert err.value.offset == at + 4
 
 
 def test_unknown_kind_rejected():
