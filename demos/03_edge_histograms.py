@@ -7,7 +7,7 @@ blocks, quantized to 0..255.  80 integers total.
 
 import numpy as np
 
-from mipp import extract_ehd, square_feature
+from mipp import extract_ehd
 from mipp.ehd_features import EDGE_TYPES
 
 
@@ -32,6 +32,6 @@ describe("checkerboard", checker)
 describe("uniform noise", noise)
 
 print(f"\nvertical stripe vector, first sub-image bins: {f_v[:5].tolist()}")
-print(f"squared companion, first sub-image:             {square_feature(f_v)[:5].tolist()}")
+print(f"squared companion, first sub-image:             {(f_v[:5] ** 2).tolist()}")
 print("the squared vector is what gets encrypted alongside the feature;")
 print("only the two totals ever become visible to the cloud.")

@@ -20,7 +20,7 @@ from .cloud_node import (
     QueryEnvelope,
     UpdateImages,
 )
-from .ehd_features import extract_ehd, square_feature
+from .ehd_features import extract_ehd
 from .feature_crypto import EncryptedFeature, encrypt_feature_pair, recover_sums
 from .group_crypto import (
     GroupParams,
@@ -69,6 +69,5 @@ __all__ = [
     "recover_sums",
     "save_params",
     "sim_from_sums",
-    "square_feature",
     "write_pgm",
 ]

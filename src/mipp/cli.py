@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation, group_crypto
-from .cloud_node import AddImages, CloudNode, DeleteImages, UpdateImages, read_credential
+from .cloud_node import AddImages, CloudNode, DeleteImages, UpdateImages, read_credentials
 # extract_ehd and image_enc are not called here; they stay bound so that
 # instrumentation which wraps this module's names finds every one of them.
 from .ehd_features import extract_ehd  # noqa: F401
@@ -41,12 +41,7 @@ def _load_store(store: Path):
     lines = (store / "users.tsv").read_text().strip().splitlines()
     if not lines or lines[0] != USERS_HEADER:
         raise ValueError("users.tsv missing or malformed")
-    users = {}
-    for number, ln in enumerate(lines[1:], 2):
-        uid, ak = read_credential(store / "users.tsv", number, ln)
-        if uid in users:
-            raise ValueError(f"{store / 'users.tsv'}: line {number} repeats user {uid!r}")
-        users[uid] = ak
+    users = read_credentials(store / "users.tsv", lines[1:], 2)
     if not users:
         raise ValueError(f"{store / 'users.tsv'} lists no user")
     return params, cloud, kmc, users
@@ -57,17 +52,6 @@ def _next_session(store: Path) -> int:
     value = int(counter_file.read_text()) if counter_file.exists() else 0
     counter_file.write_text(str(value + 1))
     return value
-
-
-def _max_stored_pixels(cloud: CloudNode) -> int:
-    sizes = [
-        stored.enc_image.size
-        for oid in cloud.owner_ids
-        for stored in cloud.owner_record(oid).images.values()
-    ]
-    if not sizes:
-        raise ValueError("store holds no images")
-    return max(sizes)
 
 
 def cmd_gen_params(args) -> int:
@@ -121,11 +105,19 @@ def cmd_query(args) -> int:
     store = Path(args.store)
     params, cloud, kmc, users = _load_store(store)
     uid, ak = next(iter(users.items()))
-    ordinal = _next_session(store)
-    image, _ = read_pgm(args.image)
+    if args.top_h < 1:
+        print(f"--top-h must be >= 1, not {args.top_h}", file=sys.stderr)
+        return 1
+    try:
+        image, _ = read_pgm(args.image)
+    except (OSError, ValueError) as exc:
+        print(f"--image: {exc}", file=sys.stderr)
+        return 1
+    # no stored image is longer than its owner's key: image_enc refuses one
+    key_len = max((len(kmc.owner_key(oid)) for oid in cloud.owner_ids), default=1)
     result = query_session(
-        params, cloud, kmc, uid, ak, image, args.top_h, args.seed.encode(), ordinal,
-        _max_stored_pixels(cloud),
+        params, cloud, kmc, uid, ak, image, args.top_h, args.seed.encode(),
+        _next_session(store), key_len,
         lambda step, message, transcript, handler: handler(message),
     )
     if not result.authorized:

@@ -142,16 +142,22 @@ def _check_id(value: str, what: str) -> None:
         raise ValueError(f"{what} {value!r} must match {_SAFE_ID.pattern}")
 
 
-def read_credential(path: Path, number: int, line: str) -> tuple[str, bytes]:
-    """The (user id, access key) on line ``number`` of ``path``: an id, a tab
-    and the key in hex."""
-    uid, tab, ak_hex = line.partition("\t")
-    if not tab:
-        raise ValueError(f"{path}: line {number} has no tab")
-    try:
-        return uid, bytes.fromhex(ak_hex)
-    except ValueError:
-        raise ValueError(f"{path}: line {number} has a malformed hex field") from None
+def read_credentials(path: Path, lines: Sequence[str], first: int) -> dict[str, bytes]:
+    """The access key of each user id in ``lines``, lines ``first``... of
+    ``path``: each an id, a tab and the key in hex, and no id twice."""
+    keys: dict[str, bytes] = {}
+    for number, line in enumerate(lines, first):
+        uid, tab, ak_hex = line.partition("\t")
+        if not tab:
+            raise ValueError(f"{path}: line {number} has no tab")
+        try:
+            ak = bytes.fromhex(ak_hex)
+        except ValueError:
+            raise ValueError(f"{path}: line {number} has a malformed hex field") from None
+        if uid in keys:
+            raise ValueError(f"{path}: line {number} repeats user {uid!r}")
+        keys[uid] = ak
+    return keys
 
 
 def _require_distinct(owner_id: str, image_ids: Iterable[str]) -> None:
@@ -200,10 +206,9 @@ class CloudNode:
         with self._lock:
             if owner_id in self._owners:
                 raise DuplicateOwnerError(owner_id)
-            record = OwnerRecord(
-                owner_id=owner_id,
-                aul=frozenset((uid, bytes(ak)) for uid, ak in aul),
-            )
+            record = OwnerRecord(owner_id, frozenset((uid, bytes(ak)) for uid, ak in aul))
+            if len({uid for uid, _ in record.aul}) < len(record.aul):
+                raise ValueError(f"{owner_id}: authorized-user list repeats a user")
             added = self._add_images(record, images)
             self._owners[owner_id] = record
             return added
@@ -375,9 +380,8 @@ class CloudNode:
             _check_id(owner_id, "owner id")
             if owner_id != base.name:
                 raise ValueError(f"{base}/manifest: owner id {owner_id!r} is not {base.name!r}")
-            aul = frozenset(read_credential(base / "manifest", number, ln)
-                            for number, ln in enumerate(manifest[2:], 3))
-            record = OwnerRecord(owner_id=owner_id, aul=aul)
+            aul = read_credentials(base / "manifest", manifest[2:], 3)
+            record = OwnerRecord(owner_id=owner_id, aul=frozenset(aul.items()))
             for pgm in sorted((base / "img").glob("*.pgm")):
                 image_id = pgm.stem
                 enc_image, _ = read_pgm(pgm)

@@ -18,8 +18,6 @@ integer response j > 0 or the threshold, and when the two diagonals tie
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 EDGE_TYPES = ("vertical", "horizontal", "diag45", "diag135", "nondirectional")
@@ -81,9 +79,3 @@ def extract_ehd(img: np.ndarray) -> np.ndarray:
     rows_per_cell = np.bincount(row_cell, minlength=GRID)
     blocks = np.outer(rows_per_cell, np.bincount(col_cell, minlength=GRID)).reshape(-1, 1)
     return (255 * counts.reshape(-1, slots)[:, :_NO_EDGE] // blocks).ravel()
-
-
-def square_feature(f: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Elementwise square with exact integer arithmetic."""
-    arr = np.asarray(f, dtype=np.int64)
-    return arr * arr

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import group_crypto
-from .ehd_features import square_feature
 from .group_crypto import GroupParams
 from .rng import derive_seed
 
@@ -49,9 +48,10 @@ class EncryptedFeature:
 def encrypt_feature_pair(
     params: GroupParams, f: Sequence[int], seed: bytes | str
 ) -> EncryptedFeature:
-    """Encrypt ``f`` and its elementwise square under independent blinding."""
+    """Encrypt ``f`` and its elementwise square, squared exactly in Python
+    integers, under independent blinding."""
     values = [int(v) for v in f]
-    squares = [int(v) for v in square_feature(values)]
+    squares = [v * v for v in values]
     ef = group_crypto.encrypt_vector(params, values, derive_seed(seed, b"ef"))
     eff = group_crypto.encrypt_vector(params, squares, derive_seed(seed, b"eff"))
     return EncryptedFeature(ef=ef, eff=eff, params_id=params.params_id)

@@ -11,12 +11,16 @@ recoverable from its ciphertext without the ring exponents.
 Since ``g1^q = 1 mod p`` and ``g2 = g1^p mod p^2``, ``g2^q = 1 mod p^2``,
 so exponents of ``g2`` may be reduced mod q and each blinding factor is
 computed as the single power ``R_i = g2^{r_i*(r_{i+1} - r_{i-1}) mod q}``.
+
+The public parameters are set by (p, q, g1) alone: ``g2`` and
+``security_bits`` (q's bit length) are derived from them.  The text record
+still states all five numbers, and loading refuses a record whose stated
+g2 or security_bits is not the derived one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -96,12 +100,18 @@ class GroupParams:
     p: int
     q: int
     g1: int
-    g2: int
-    security_bits: int
 
     @property
     def p_squared(self) -> int:
         return self.p * self.p
+
+    @property
+    def security_bits(self) -> int:
+        return self.q.bit_length()
+
+    @cached_property
+    def g2(self) -> int:
+        return pow(self.g1, self.p, self.p_squared)
 
     @cached_property
     def params_id(self) -> str:
@@ -114,20 +124,12 @@ class GroupParams:
             raise ValueError("p is not prime")
         if not is_probable_prime(self.q):
             raise ValueError("q is not prime")
-        if self.security_bits != self.q.bit_length():
-            raise ValueError(
-                f"security_bits {self.security_bits} is not q's {self.q.bit_length()} bits"
-            )
         if (self.p - 1) % self.q != 0:
             raise ValueError("q does not divide p - 1")
         if self.g1 % self.p in (0, 1):
             raise ValueError("g1 is trivial mod p")
         if pow(self.g1, self.q, self.p) != 1:
             raise ValueError("g1 does not lie in the q-order subgroup")
-        if self.g2 != pow(self.g1, self.p, self.p_squared):
-            raise ValueError("g2 is not g1^p mod p^2")
-        if math.gcd(self.g2, self.p_squared) != 1:
-            raise ValueError("g2 is not a unit mod p^2")
 
 
 def gen_group_params(security_bits: int, seed: bytes | str) -> GroupParams:
@@ -163,9 +165,7 @@ def gen_group_params(security_bits: int, seed: bytes | str) -> GroupParams:
     else:
         raise ParameterGenerationError("no prime p = k*q + 1 found")
 
-    g1 = _find_subgroup_generator(p, q, stream)
-    g2 = pow(g1, p, p * p)
-    params = GroupParams(p=p, q=q, g1=g1, g2=g2, security_bits=security_bits)
+    params = GroupParams(p=p, q=q, g1=_find_subgroup_generator(p, q, stream))
     params.validate()
     return params
 
@@ -184,8 +184,7 @@ def params_from_primes(p: int, q: int, h: int) -> GroupParams:
     g1 = pow(h, (p - 1) // q, p)
     if g1 == 1:
         raise ValueError("h collapses to the trivial subgroup element")
-    g2 = pow(g1, p, p * p)
-    params = GroupParams(p=p, q=q, g1=g1, g2=g2, security_bits=q.bit_length())
+    params = GroupParams(p=p, q=q, g1=g1)
     params.validate()
     return params
 
@@ -287,8 +286,12 @@ def params_from_text(text: str) -> GroupParams:
         p, q, g1, g2, bits = (int(ln) for ln in lines[1:])
     except ValueError as exc:
         raise ValueError("non-decimal field in parameter record") from exc
-    params = GroupParams(p=p, q=q, g1=g1, g2=g2, security_bits=bits)
+    params = GroupParams(p=p, q=q, g1=g1)
     params.validate()
+    if bits != params.security_bits:
+        raise ValueError(f"security_bits {bits} is not q's {params.security_bits} bits")
+    if g2 != params.g2:
+        raise ValueError("g2 is not g1^p mod p^2")
     return params
 
 

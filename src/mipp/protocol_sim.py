@@ -98,18 +98,18 @@ class CloudToUser:
 
 @dataclass(frozen=True)
 class Message:
-    kind: MessageKind
+    """One protocol message; its kind is the kind of its payload."""
+
     session: bytes
     payload: object
 
     def __post_init__(self):
         if len(self.session) != SESSION_ID_BYTES:
             raise ValueError(f"session id must be {SESSION_ID_BYTES} bytes")
-        expected = _WIRE[self.kind][0]
-        if not isinstance(self.payload, expected):
-            raise TypeError(
-                f"{self.kind.name} payload must be {expected.__name__}"
-            )
+
+    @property
+    def kind(self) -> MessageKind:
+        return _KIND_OF[type(self.payload)]
 
 
 # -- wire encoding -----------------------------------------------------------
@@ -257,6 +257,7 @@ _WIRE = {
     MessageKind.KMC_TO_CLOUD: (KmcToCloud, (("uid", _STR), ("results", _RESULTS))),
     MessageKind.CLOUD_TO_USER: (CloudToUser, (("uid", _STR), ("results", _RESULTS))),
 }
+_KIND_OF = {payload_type: kind for kind, (payload_type, _) in _WIRE.items()}
 
 
 def encode_message(m: Message) -> bytes:
@@ -296,7 +297,7 @@ def decode_message(data: bytes) -> Message:
 
     if reader.offset != len(data):
         raise DecodeError("trailing bytes after message body", reader.offset)
-    return Message(kind=kind, session=session, payload=payload)
+    return Message(session, payload)
 
 
 # -- transcripts ---------------------------------------------------------------
@@ -407,14 +408,12 @@ def decrypt_and_rerank(
 
 @dataclass
 class OwnerActor:
-    owner_id: str
     plain_images: dict[str, np.ndarray]
     plain_features: dict[str, np.ndarray]
 
 
 @dataclass
 class UserActor:
-    uid: str
     ak: bytes
     sessions_run: int = 0
 
@@ -470,12 +469,11 @@ def query_session(
     )
     usk = keygen(128, key_len, derive_seed(seed, f"usk:{uid}:{ordinal}"))
 
-    def hop(step: int, kind: MessageKind, payload, handler: Callable[[Message], object]):
-        return send(step, Message(kind, session, payload), transcript, handler)
+    def hop(step: int, payload, handler: Callable[[Message], object]):
+        return send(step, Message(session, payload), transcript, handler)
 
-    envelope = hop(3, MessageKind.USER_QUERY, QueryEnvelope(eq=eq, uid=uid, ak=ak, h=h),
-                   lambda m: m.payload)
-    hop(4, MessageKind.USER_KEY_DEPOSIT, UserKeyDeposit(uid=uid, usk=usk),
+    envelope = hop(3, QueryEnvelope(eq=eq, uid=uid, ak=ak, h=h), lambda m: m.payload)
+    hop(4, UserKeyDeposit(uid=uid, usk=usk),
         lambda m: kmc.store_user_key(m.payload.uid, m.payload.usk, sid))
     try:
         retrieved = cloud.retrieve_top_h(envelope)
@@ -486,12 +484,10 @@ def query_session(
                              returned=[], cloud_distance={}, images={}, ranking=[])
     er = tuple((r.owner_id, r.image_id, r.enc_image) for r in retrieved)
 
-    ner = hop(5, MessageKind.CLOUD_TO_KMC, CloudToKmc(uid=uid, ak=ak, results=er),
+    ner = hop(5, CloudToKmc(uid=uid, ak=ak, results=er),
               lambda m: tuple(kmc.reencrypt_results(list(m.payload.results), m.payload.uid, sid)))
-    forwarded = hop(6, MessageKind.KMC_TO_CLOUD, KmcToCloud(uid=uid, results=ner),
-                    lambda m: m.payload.results)
-    delivered = hop(7, MessageKind.CLOUD_TO_USER, CloudToUser(uid=uid, results=forwarded),
-                    lambda m: m.payload.results)
+    forwarded = hop(6, KmcToCloud(uid=uid, results=ner), lambda m: m.payload.results)
+    delivered = hop(7, CloudToUser(uid=uid, results=forwarded), lambda m: m.payload.results)
 
     images, ranking = decrypt_and_rerank(usk, query_feature, delivered)
     return SessionResult(session=sid, authorized=True, transcript=transcript,
@@ -532,7 +528,7 @@ class World:
         if uid in self.users:
             raise ValueError(f"user {uid!r} already exists")
         ak = ByteStream(derive_seed(self.seed, f"ak:{uid}")).take(32)
-        actor = UserActor(uid=uid, ak=ak)
+        actor = UserActor(ak=ak)
         self.users[uid] = actor
         return actor
 
@@ -542,15 +538,13 @@ class World:
         images: Sequence[tuple[str, np.ndarray]],
         authorize: Iterable[str] = (),
     ) -> OwnerActor:
-        """Run steps 1 and 2 for one owner."""
+        """Run steps 1 and 2 for one owner.
+
+        The owner key covers ``max_image_pixels`` pixels, so a larger image
+        raises ``KeyLengthError`` before anything is sent.
+        """
         if owner_id in self.owners:
             raise ValueError(f"owner {owner_id!r} already exists")
-        for _, img in images:
-            if img.size > self.max_image_pixels:
-                raise ValueError(
-                    f"image larger than the {self.max_image_pixels}-pixel "
-                    "keystream budget"
-                )
         sk = keygen(
             128, self.max_image_pixels, derive_seed(self.seed, f"owner-sk:{owner_id}")
         )
@@ -563,27 +557,16 @@ class World:
             derive_seed(self.seed, f"setup:{owner_id}")
         ).take(SESSION_ID_BYTES)
 
-        upload = Message(
-            kind=MessageKind.OWNER_UPLOAD,
-            session=setup_session,
-            payload=OwnerUpload(owner_id=owner_id, aul=aul, images=tuple(uploads)),
-        )
+        upload = Message(setup_session, OwnerUpload(owner_id=owner_id, aul=aul,
+                                                    images=tuple(uploads)))
         self._send(1, upload, self.setup_transcript, lambda m: self.cloud.register_owner(
             m.payload.owner_id, m.payload.aul, m.payload.images))
 
-        deposit = Message(
-            kind=MessageKind.OWNER_KEY_DEPOSIT,
-            session=setup_session,
-            payload=OwnerKeyDeposit(owner_id=owner_id, sk=sk),
-        )
+        deposit = Message(setup_session, OwnerKeyDeposit(owner_id=owner_id, sk=sk))
         self._send(2, deposit, self.setup_transcript, lambda m: self.kmc.store_owner_key(
             m.payload.owner_id, m.payload.sk))
 
-        actor = OwnerActor(
-            owner_id=owner_id,
-            plain_images=dict(images),
-            plain_features=plain_features,
-        )
+        actor = OwnerActor(plain_images=dict(images), plain_features=plain_features)
         self.owners[owner_id] = actor
         return actor
 

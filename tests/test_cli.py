@@ -265,3 +265,38 @@ def test_cli_query_matches_a_world_session_on_the_same_corpus(corpus_dir, tmp_pa
     assert [d for _, o, i, d, _ in rows] == [
         f"{world_distance[key]:.4f}" for key in result.user_ranking
     ]
+
+
+@pytest.mark.parametrize("image, top_h, message", [
+    (None, "0", "--top-h must be >= 1, not 0"),
+    ("missing.pgm", "10", "--image: "),
+    ("params.txt", "10", "--image: "),
+], ids=["h-zero", "missing-image", "not-a-pgm"])
+def test_query_input_errors_exit_1_before_the_session_counter(
+    store_dir, corpus_dir, tmp_path, capsys, image, top_h, message
+):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    (store / "session.counter").write_text("5")
+    query_image = store / image if image else sorted((corpus_dir / "cat00").glob("*.pgm"))[0]
+    capsys.readouterr()
+    assert main(["query", "--store", str(store), "--image", str(query_image),
+                 "--top-h", top_h]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert (image or "") in captured.err and captured.out == ""
+    assert (store / "session.counter").read_text() == "5"
+
+
+def test_query_of_a_store_without_owners_is_authorized_by_no_owner(
+    store_dir, corpus_dir, tmp_path, capsys
+):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    shutil.rmtree(store / "cloud" / "owners")
+    (store / "cloud" / "index.tsv").write_text("owner_id\timage_id\ts1\ts2\n")
+    (store / "vault").write_text("MIPP-VAULT-1\n")
+    query_image = sorted((corpus_dir / "cat00").glob("*.pgm"))[0]
+    capsys.readouterr()
+    assert main(["query", "--store", str(store), "--image", str(query_image)]) == 1
+    assert capsys.readouterr().err == "user 'user-1' is authorized by no owner\n"

@@ -296,6 +296,24 @@ def test_manifest_line_without_tab_names_the_file(tmp_path):
         CloudNode.load_store(tmp_path / "store", PARAMS)
 
 
+def test_manifest_repeating_a_user_names_the_file_and_line(tmp_path):
+    # a second key for alice would otherwise authorize her as well
+    cloud = make_cloud()
+    cloud.save_store(tmp_path / "store")
+    manifest = tmp_path / "store" / "owners" / "owner-1" / "manifest"
+    manifest.write_text(manifest.read_text() + f"alice\t{bytes(32).hex()}\n")
+    with pytest.raises(ValueError, match="owner-1/manifest: line 4 repeats user 'alice'"):
+        CloudNode.load_store(tmp_path / "store", PARAMS)
+
+
+def test_registration_listing_a_user_with_two_keys_is_refused():
+    cloud = CloudNode(PARAMS)
+    with pytest.raises(ValueError, match="owner-1: authorized-user list repeats a user"):
+        cloud.register_owner("owner-1", [("alice", AK1), ("alice", AK2)],
+                             [("img-a", enc_img(1), upload([1, 2, 3], b"a"))])
+    assert cloud.owner_ids == () and cloud.verify_user("alice", AK2) == set()
+
+
 @pytest.mark.parametrize("owner_id, message", [
     ("../../escaped", "owner id '../../escaped' must match"),
     ("owner-3", "owner id 'owner-3' is not 'owner-1'"),

@@ -10,7 +10,6 @@ from mipp.ehd_features import (
     FEATURE_DIMS,
     ImageTooSmallError,
     extract_ehd,
-    square_feature,
 )
 
 
@@ -90,7 +89,7 @@ def test_quantization_bounds():
         f = extract_ehd(img)
         assert f.min() >= 0 and f.max() <= 255
         assert f.sum() <= 80 * 255
-        assert int(square_feature(f).sum()) <= 80 * 255 * 255
+        assert sum(int(v) ** 2 for v in f) <= 80 * 255 * 255
 
 
 def test_remainder_pixels_go_to_last_subimage():
@@ -119,12 +118,6 @@ def test_threshold_suppresses_weak_edges():
     f = extract_ehd(img).reshape(16, 5)
     assert np.all(f[:, 0] == 255)
     assert np.all(f[:, 1:] == 0)
-
-
-def test_square_feature_values():
-    assert np.array_equal(square_feature([0, 0, 0]), [0, 0, 0])
-    assert np.array_equal(square_feature([2, 3, 4]), [4, 9, 16])
-    assert np.array_equal(square_feature([255] * 3), [65025] * 3)
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipp.feature_crypto import (
     EncryptedFeature,
@@ -36,6 +38,17 @@ def test_zero_vector(params):
 def test_short_vector_rejected(params):
     with pytest.raises(DegenerateRingError):
         encrypt_feature_pair(params, [1, 2], b"s")
+
+
+PARAMS_128 = gen_group_params(128, b"feature-tests-128")
+
+
+@settings(max_examples=50, deadline=None)
+@given(f=st.lists(st.integers(0, 2**40), min_size=3, max_size=80), seed=st.binary(max_size=8))
+def test_recovered_sums_are_exact_for_wide_entries(f, seed):
+    # squares reach 2^80, far beyond any fixed-width integer
+    feature = encrypt_feature_pair(PARAMS_128, f, seed)
+    assert recover_sums(PARAMS_128, feature) == (sum(f), sum(v * v for v in f))
 
 
 def test_square_sum_overflow_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -36,6 +37,14 @@ def test_forced_primes_match_hand_computation(tiny_params):
     # independent oracle: direct modular exponentiation
     assert tiny_params.g1 == pow(2, (23 - 1) // 11, 23) == 4
     assert tiny_params.g2 == pow(4, 23, 23 * 23) == 487
+
+
+def test_params_are_p_q_and_g1_and_derive_the_rest(test_params):
+    assert [f.name for f in dataclasses.fields(GroupParams)] == ["p", "q", "g1"]
+    derived = GroupParams(test_params.p, test_params.q, test_params.g1)
+    assert derived == test_params
+    assert derived.g2 == pow(test_params.g1, test_params.p, test_params.p_squared)
+    assert derived.security_bits == test_params.q.bit_length() == 32
 
 
 def test_generated_params_invariants():
@@ -171,15 +180,10 @@ def test_params_record_must_state_the_bits_of_q(test_params):
 
 
 def test_validate_rejects_inconsistent_params(tiny_params):
-    broken = GroupParams(
-        p=tiny_params.p,
-        q=tiny_params.q,
-        g1=tiny_params.g1,
-        g2=tiny_params.g2 + 1,
-        security_bits=tiny_params.security_bits,
-    )
-    with pytest.raises(ValueError):
-        broken.validate()
+    lines = params_to_text(tiny_params).splitlines()
+    lines[4] = str(tiny_params.g2 + 1)
+    with pytest.raises(ValueError, match="g2 is not g1"):
+        params_from_text("\n".join(lines) + "\n")
 
 
 def test_params_id_tracks_content(tiny_params, test_params):

@@ -39,21 +39,20 @@ def minimal_messages():
     feature = tiny_feature()
     img = tiny_image()
     return [
-        Message(MessageKind.OWNER_UPLOAD, SESSION,
-                OwnerUpload("o1", (("u1", b"\x01"),), (("im1", img, feature),))),
-        Message(MessageKind.OWNER_KEY_DEPOSIT, SESSION,
-                OwnerKeyDeposit("o1", b"\x02\x03")),
-        Message(MessageKind.USER_QUERY, SESSION,
-                QueryEnvelope(uid="u1", ak=b"\x01", h=5, eq=feature)),
-        Message(MessageKind.USER_KEY_DEPOSIT, SESSION,
-                UserKeyDeposit("u1", b"\x04")),
-        Message(MessageKind.CLOUD_TO_KMC, SESSION,
-                CloudToKmc("u1", b"\x01", (("o1", "im1", img),))),
-        Message(MessageKind.KMC_TO_CLOUD, SESSION,
-                KmcToCloud("u1", (("o1", "im1", img),))),
-        Message(MessageKind.CLOUD_TO_USER, SESSION,
-                CloudToUser("u1", ()),),
+        Message(SESSION, OwnerUpload("o1", (("u1", b"\x01"),), (("im1", img, feature),))),
+        Message(SESSION, OwnerKeyDeposit("o1", b"\x02\x03")),
+        Message(SESSION, QueryEnvelope(uid="u1", ak=b"\x01", h=5, eq=feature)),
+        Message(SESSION, UserKeyDeposit("u1", b"\x04")),
+        Message(SESSION, CloudToKmc("u1", b"\x01", (("o1", "im1", img),))),
+        Message(SESSION, KmcToCloud("u1", (("o1", "im1", img),))),
+        Message(SESSION, CloudToUser("u1", ())),
     ]
+
+
+def test_a_message_kind_is_its_payload_kind():
+    assert [m.kind for m in minimal_messages()] == list(MessageKind)
+    data = encode_message(minimal_messages()[3])
+    assert data[4] == MessageKind.USER_KEY_DEPOSIT
 
 
 def test_roundtrip_all_kinds():
@@ -79,12 +78,10 @@ def test_roundtrip_preserves_fields():
 def test_encoding_is_canonical():
     feature = tiny_feature()
     img = tiny_image()
-    a = Message(MessageKind.OWNER_UPLOAD, SESSION,
-                OwnerUpload("o1", (("u1", b"\x01"), ("a0", b"\x09")),
-                            (("im1", img, feature),)))
-    b = Message(MessageKind.OWNER_UPLOAD, SESSION,
-                OwnerUpload("o1", (("a0", b"\x09"), ("u1", b"\x01")),
-                            (("im1", img, feature),)))
+    a = Message(SESSION, OwnerUpload("o1", (("u1", b"\x01"), ("a0", b"\x09")),
+                                     (("im1", img, feature),)))
+    b = Message(SESSION, OwnerUpload("o1", (("a0", b"\x09"), ("u1", b"\x01")),
+                                     (("im1", img, feature),)))
     assert encode_message(a) == encode_message(b)
     assert encode_message(a) == encode_message(a)
 
@@ -173,6 +170,18 @@ def make_world(seed=b"world-seed", top_h=100):
         authorize=["alice"],
     )
     return world
+
+
+def test_image_beyond_the_owner_key_is_refused_before_anything_is_sent():
+    world = World(PARAMS, b"budget", max_image_pixels=16 * 16)
+    world.add_user("alice")
+    images = [("small", np.zeros((16, 16), np.uint8)), ("large", np.zeros((16, 17), np.uint8))]
+    with pytest.raises(ValueError):
+        world.add_owner("owner-1", images, authorize=["alice"])
+    assert world.cloud.owner_ids == () and world.owners == {}
+    with pytest.raises(KeyError):
+        world.kmc.owner_key("owner-1")
+    assert world.setup_transcript.entries == []
 
 
 def test_session_transcript_order_and_fidelity():
