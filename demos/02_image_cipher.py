@@ -14,7 +14,7 @@ image = np.zeros((48, 48), dtype=np.uint8)
 image[8:40, 8:40] = 200                     # a bright square
 image[16:32, 16:32] = rng.integers(0, 256, size=(16, 16))  # noisy center
 
-sk = keygen(security_k=128, required_len=image.size, seed=b"owner-key")
+sk = keygen(required_len=image.size, seed=b"owner-key")
 encrypted = image_enc(sk, image)
 decrypted = image_dec(sk, encrypted)
 
@@ -23,7 +23,7 @@ print(f"ciphertext mean {encrypted.mean():6.1f}, std {encrypted.std():6.1f} "
       "(flat histogram, structure gone)")
 print(f"roundtrip bit-exact: {np.array_equal(decrypted, image)}")
 
-wrong = keygen(128, image.size, seed=b"not-the-key")
+wrong = keygen(image.size, seed=b"not-the-key")
 print(f"wrong key recovers the image: {np.array_equal(image_dec(wrong, encrypted), image)}")
 
 write_pgm("/tmp/demo_plain.pgm", image)

@@ -16,10 +16,11 @@ import sys
 from pathlib import Path
 
 from . import evaluation, group_crypto
-from .cloud_node import AddImages, CloudNode, DeleteImages, UpdateImages, read_credentials
-# extract_ehd and image_enc are not called here; they stay bound so that
-# instrumentation which wraps this module's names finds every one of them.
-from .ehd_features import extract_ehd  # noqa: F401
+from .cloud_node import (DEFAULT_TOP_H, AddImages, CloudNode, DeleteImages, UpdateImages,
+                         credential_line, read_credentials)
+from .ehd_features import extract_ehd
+# image_enc is not called here; it stays bound so that instrumentation
+# which wraps this module's names finds every one of them.
 from .image_cipher import image_dec, image_enc, keygen, read_pgm, write_pgm  # noqa: F401
 from .kmc_node import KmcNode
 from .protocol_sim import encrypt_uploads, query_session
@@ -41,7 +42,7 @@ def _load_store(store: Path):
     lines = (store / "users.tsv").read_text().strip().splitlines()
     if not lines or lines[0] != USERS_HEADER:
         raise ValueError("users.tsv missing or malformed")
-    users = read_credentials(store / "users.tsv", lines[1:], 2)
+    users = read_credentials(store / "users.tsv", lines[1:], 2, "user")
     if not users:
         raise ValueError(f"{store / 'users.tsv'} lists no user")
     return params, cloud, kmc, users
@@ -81,7 +82,7 @@ def cmd_ingest(args) -> int:
     ak = derive_seed(seed, f"ak:{args.user}")
     max_pixels = max(item.image.size for item in corpus.items)
     for owner_id, items in sorted(corpus.by_owner().items()):
-        sk = keygen(128, max_pixels, derive_seed(seed, f"owner-sk:{owner_id}"))
+        sk = keygen(max_pixels, derive_seed(seed, f"owner-sk:{owner_id}"))
         uploads, _ = encrypt_uploads(
             params, sk, [(item.item_id, item.image) for item in items], seed, "feature:"
         )
@@ -92,9 +93,7 @@ def cmd_ingest(args) -> int:
     group_crypto.save_params(params, store / "params.txt")
     cloud.save_store(store / "cloud")
     kmc.save_vault(store / "vault")
-    (store / "users.tsv").write_text(
-        f"{USERS_HEADER}\n{args.user}\t{ak.hex()}\n"
-    )
+    (store / "users.tsv").write_text(f"{USERS_HEADER}\n{credential_line(args.user, ak)}\n")
     print(f"ingested {len(corpus.items)} images from "
           f"{len(corpus.categories)} categories into {store} "
           f"({args.owners} owners, index rows: {len(cloud.index)})")
@@ -109,16 +108,16 @@ def cmd_query(args) -> int:
         print(f"--top-h must be >= 1, not {args.top_h}", file=sys.stderr)
         return 1
     try:
-        image, _ = read_pgm(args.image)
-    except (OSError, ValueError) as exc:
+        query_feature = extract_ehd(read_pgm(args.image)[0])
+    except (OSError, ValueError) as exc:  # unreadable, not a PGM, or too small
         print(f"--image: {exc}", file=sys.stderr)
         return 1
     # no stored image is longer than its owner's key: image_enc refuses one
     key_len = max((len(kmc.owner_key(oid)) for oid in cloud.owner_ids), default=1)
     result = query_session(
-        params, cloud, kmc, uid, ak, image, args.top_h, args.seed.encode(),
+        params, cloud, kmc, uid, ak, query_feature, args.top_h, args.seed.encode(),
         _next_session(store), key_len,
-        lambda step, message, transcript, handler: handler(message),
+        lambda message, transcript, handler: handler(message),
     )
     if not result.authorized:
         print(f"user {uid!r} is authorized by no owner", file=sys.stderr)
@@ -162,8 +161,8 @@ def _eval_inputs(args):
 
 def cmd_eval(args) -> int:
     corpus, outcomes = _eval_inputs(args)
-    cutoffs = [c for c in (10, 20, 50, 100) if c <= args.top_h]
-    reports = evaluation.experiment_metrics(outcomes, corpus.labels(), cutoffs)
+    # a cutoff beyond the returned lists, so beyond --top-h, is skipped
+    reports = evaluation.experiment_metrics(outcomes, corpus.labels())
     _emit(evaluation.metrics_tsv(reports), args.out)
     return 0
 
@@ -251,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="run one retrieval against a store")
     p.add_argument("--store", required=True)
     p.add_argument("--image", required=True, help="query image (PGM)")
-    p.add_argument("--top-h", type=int, default=100)
+    p.add_argument("--top-h", type=int, default=DEFAULT_TOP_H)
     p.add_argument("--seed", default="mipp")
     p.add_argument("--out")
     p.add_argument("--save-images", help="directory for decrypted results")
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", help="PGM corpus (default: synthetic)")
         p.add_argument("--owners", type=int, default=3)
         p.add_argument("--seed", default="mipp")
-        p.add_argument("--top-h", type=int, default=100)
+        p.add_argument("--top-h", type=int, default=DEFAULT_TOP_H)
         p.add_argument("--queries-per-category", type=int, default=5)
         p.add_argument("--out")
         if name == "leakage":

@@ -40,6 +40,8 @@ from .similarity import CorruptedSumsError, SumPair, top_h
 INDEX_HEADER = "owner_id\timage_id\ts1\ts2"
 MANIFEST_HEADER = "MIPP-OWNER-1"
 
+DEFAULT_TOP_H = 100  # results a query asks for unless it says otherwise
+
 _SAFE_ID = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
@@ -105,7 +107,7 @@ class QueryEnvelope:
     eq: EncryptedFeature
     uid: str
     ak: bytes
-    h: int = 100
+    h: int = DEFAULT_TOP_H
 
     def __post_init__(self):
         if self.h < 1:
@@ -142,21 +144,26 @@ def _check_id(value: str, what: str) -> None:
         raise ValueError(f"{what} {value!r} must match {_SAFE_ID.pattern}")
 
 
-def read_credentials(path: Path, lines: Sequence[str], first: int) -> dict[str, bytes]:
-    """The access key of each user id in ``lines``, lines ``first``... of
-    ``path``: each an id, a tab and the key in hex, and no id twice."""
+def credential_line(key_id: str, key: bytes) -> str:
+    """One line of a key file: the id, a tab and the key in hex."""
+    return f"{key_id}\t{key.hex()}"
+
+
+def read_credentials(path: Path, lines: Sequence[str], first: int, noun: str) -> dict[str, bytes]:
+    """The key of each ``noun`` id in ``lines``, lines ``first``... of
+    ``path``: each a ``credential_line``, and no id twice."""
     keys: dict[str, bytes] = {}
     for number, line in enumerate(lines, first):
-        uid, tab, ak_hex = line.partition("\t")
+        key_id, tab, key_hex = line.partition("\t")
         if not tab:
             raise ValueError(f"{path}: line {number} has no tab")
         try:
-            ak = bytes.fromhex(ak_hex)
+            key = bytes.fromhex(key_hex)
         except ValueError:
             raise ValueError(f"{path}: line {number} has a malformed hex field") from None
-        if uid in keys:
-            raise ValueError(f"{path}: line {number} repeats user {uid!r}")
-        keys[uid] = ak
+        if key_id in keys:
+            raise ValueError(f"{path}: line {number} repeats {noun} {key_id!r}")
+        keys[key_id] = key
     return keys
 
 
@@ -340,8 +347,7 @@ class CloudNode:
             (base / "img").mkdir(parents=True, exist_ok=True)
             (base / "feat").mkdir(parents=True, exist_ok=True)
             manifest = [MANIFEST_HEADER, owner_id]
-            for uid, ak in sorted(record.aul):
-                manifest.append(f"{uid}\t{ak.hex()}")
+            manifest += [credential_line(uid, ak) for uid, ak in sorted(record.aul)]
             (base / "manifest").write_text("\n".join(manifest) + "\n")
             for image_id, stored in sorted(record.images.items()):
                 write_pgm(base / "img" / f"{image_id}.pgm", stored.enc_image,
@@ -380,15 +386,17 @@ class CloudNode:
             _check_id(owner_id, "owner id")
             if owner_id != base.name:
                 raise ValueError(f"{base}/manifest: owner id {owner_id!r} is not {base.name!r}")
-            aul = read_credentials(base / "manifest", manifest[2:], 3)
+            aul = read_credentials(base / "manifest", manifest[2:], 3, "user")
             record = OwnerRecord(owner_id=owner_id, aul=frozenset(aul.items()))
             for pgm in sorted((base / "img").glob("*.pgm")):
                 image_id = pgm.stem
                 enc_image, _ = read_pgm(pgm)
-                feature = feature_crypto.feature_from_text(
-                    (base / "feat" / f"{image_id}.eft").read_text()
-                )
-                node._dims = node._dims_of([feature])
+                eft = base / "feat" / f"{image_id}.eft"
+                try:
+                    feature = feature_crypto.feature_from_text(eft.read_text())
+                    node._dims = node._dims_of([feature])
+                except ValueError as exc:
+                    raise ValueError(f"{eft}: {exc}") from None
                 row = rows.pop((owner_id, image_id), None)
                 if row is None:
                     raise CloudError(f"image {owner_id}/{image_id} has no index row")

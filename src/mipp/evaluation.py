@@ -29,8 +29,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import feature_crypto, group_crypto
-from .cloud_node import CloudNode, QueryEnvelope
-from .ehd_features import FEATURE_DIMS, extract_ehd
+from .cloud_node import DEFAULT_TOP_H, CloudNode, QueryEnvelope
+from .ehd_features import FEATURE_DIMS, GRID, extract_ehd
 from .group_crypto import GroupParams
 from .image_cipher import read_pgm, write_pgm
 from .protocol_sim import World, rank_by_euclidean
@@ -184,8 +184,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.categories > _N_ORIENTS * len(_DENSITY_LEVELS):
             raise ValueError("not enough orientation/density combinations")
-        if self.image_size % 8 != 0:
-            raise ValueError("image size must be a multiple of 8")
+        if self.image_size % (2 * GRID) != 0:
+            raise ValueError(f"image size must be a multiple of {2 * GRID}")
 
     def category_names(self) -> tuple[str, ...]:
         return tuple(f"cat{k:02d}" for k in range(self.categories))
@@ -198,9 +198,9 @@ class SynthSpec:
 
 def _render(spec: SynthSpec, dominant_per_cell: np.ndarray, density: float,
             dominance: float, rng: np.random.Generator) -> np.ndarray:
-    """Paint an image from a 4x4 map of dominant cell orientations."""
+    """Paint an image from a GRID x GRID map of dominant cell orientations."""
     size = spec.image_size
-    blocks_per_cell = size // 8  # cell side in blocks
+    blocks_per_cell = size // (2 * GRID)  # cell side in 2x2 blocks
     n_blocks = size // 2
     dom = np.repeat(
         np.repeat(dominant_per_cell, blocks_per_cell, axis=0),
@@ -234,8 +234,8 @@ def synth_image(spec: SynthSpec, category: int, rng: np.random.Generator,
     scramble = rng.uniform(lo, hi)
     density = density * (1.0 + rng.uniform(-_DENSITY_JITTER, _DENSITY_JITTER))
 
-    cells = np.full((4, 4), orient, dtype=np.int64)
-    mask = rng.random((4, 4)) < scramble
+    cells = np.full((GRID, GRID), orient, dtype=np.int64)
+    mask = rng.random((GRID, GRID)) < scramble
     cells[mask] = rng.integers(0, _N_ORIENTS, size=int(mask.sum()))
     return _render(spec, cells, density, dominance, rng)
 
@@ -244,7 +244,7 @@ def synth_query_image(spec: SynthSpec, category: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Draw a clean, unscrambled exemplar used as a query."""
     orient, density, dominance = spec.recipe(category)
-    cells = np.full((4, 4), orient, dtype=np.int64)
+    cells = np.full((GRID, GRID), orient, dtype=np.int64)
     return _render(spec, cells, density, dominance, rng)
 
 
@@ -383,7 +383,7 @@ def run_retrieval_experiment(
     queries: Sequence[tuple[str, np.ndarray]],
     params: GroupParams,
     seed: bytes | str = b"experiment",
-    h: int = 100,
+    h: int = DEFAULT_TOP_H,
 ) -> list[QueryOutcome]:
     """Run full protocol sessions and collect cloud vs. baseline rankings.
 
@@ -512,7 +512,6 @@ class BenchReport:
 
 
 BENCH_MODES = ("plain", "enc_no_index", "enc_with_index", "index_build")
-BENCH_TOP_H = 100
 
 
 def bench(
@@ -525,7 +524,7 @@ def bench(
     """Time the cloud's retrieval paths over synthetic features of each size.
 
     One owner holds ``size`` random ``FEATURE_DIMS``-entry features in a
-    ``CloudNode``, and a query asks for the top ``BENCH_TOP_H``.  ``index_build``
+    ``CloudNode``, and a query asks for the top ``DEFAULT_TOP_H``.  ``index_build``
     times its ``register_owner``; ``enc_with_index`` and ``enc_no_index``
     time ``retrieve_top_h`` with and without the index; ``plain`` ranks the
     plaintext vectors by Euclidean distance.  The rankings of the two
@@ -557,7 +556,6 @@ def bench(
         eq=feature_crypto.encrypt_feature_pair(params, query_vec, derive_seed(seed, b"q")),
         uid="bench-user",
         ak=derive_seed(seed, b"ak"),
-        h=BENCH_TOP_H,
     )
     owner = "owner-1"
     # the cloud never looks inside the images, so one pixel stands in
@@ -576,7 +574,7 @@ def bench(
         if mode == "plain":
             return rank_by_euclidean(
                 query_vec, ((owner, ids[i], vectors[i]) for i in range(size))
-            )[:BENCH_TOP_H]
+            )[:DEFAULT_TOP_H]
         if mode == "index_build":
             return build_cloud(size)
         return [(r.owner_id, r.image_id)

@@ -138,6 +138,7 @@ def gen_group_params(security_bits: int, seed: bytes | str) -> GroupParams:
     ``security_bits`` is the size of q.  q is found first, then p is
     searched as k*q + 1 over even k so that q | p-1 holds by construction
     (p comes out a few bits longer than q, as in any such construction).
+    The searches establish what ``validate()`` checks, so it is not re-run.
     """
     if security_bits < MIN_SECURITY_BITS:
         raise ValueError(
@@ -165,15 +166,14 @@ def gen_group_params(security_bits: int, seed: bytes | str) -> GroupParams:
     else:
         raise ParameterGenerationError("no prime p = k*q + 1 found")
 
-    params = GroupParams(p=p, q=q, g1=_find_subgroup_generator(p, q, stream))
-    params.validate()
-    return params
+    return GroupParams(p=p, q=q, g1=_find_subgroup_generator(p, q, stream))
 
 
 def params_from_primes(p: int, q: int, h: int) -> GroupParams:
     """Build parameters from explicit primes and subgroup seed ``h``.
 
-    Intended for tests and interop with externally agreed parameters.
+    Intended for tests and interop with externally agreed parameters.  The
+    checks below imply ``validate()``'s: g1^q = h^(p-1) = 1 mod p, g1 != 0.
     """
     if not is_probable_prime(p) or not is_probable_prime(q):
         raise ValueError("p and q must both be prime")
@@ -184,9 +184,7 @@ def params_from_primes(p: int, q: int, h: int) -> GroupParams:
     g1 = pow(h, (p - 1) // q, p)
     if g1 == 1:
         raise ValueError("h collapses to the trivial subgroup element")
-    params = GroupParams(p=p, q=q, g1=g1)
-    params.validate()
-    return params
+    return GroupParams(p=p, q=q, g1=g1)
 
 
 def _find_subgroup_generator(p: int, q: int, stream: ByteStream) -> int:
@@ -300,4 +298,7 @@ def save_params(params: GroupParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> GroupParams:
-    return params_from_text(Path(path).read_text())
+    try:
+        return params_from_text(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

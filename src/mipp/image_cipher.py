@@ -20,22 +20,23 @@ import numpy as np
 from .rng import ByteStream
 
 ENC_COMMENT = "MIPP-ENC"
+KEYGEN_LABEL = b"keygen-128"  # KeyGen's one security parameter, k = 128
 
 
 class KeyLengthError(ValueError):
     """Keystream missing or too short for the image it must cover."""
 
 
-def keygen(security_k: int, required_len: int, seed: bytes | str) -> bytes:
+def keygen(required_len: int, seed: bytes | str) -> bytes:
     """Derive a keystream of ``required_len`` bytes from ``seed``.
 
-    Deterministic in (security_k, seed); production use requires the seed
-    itself to come from a cryptographic entropy source.
+    Deterministic in ``seed`` (the stream is labelled ``KEYGEN_LABEL``), and
+    a shorter key is a prefix of a longer one; production use requires the
+    seed itself to come from a cryptographic entropy source.
     """
     if required_len < 1:
         raise KeyLengthError("keystream length must be >= 1")
-    stream = ByteStream(seed, b"keygen-%d" % security_k)
-    return stream.take(required_len)
+    return ByteStream(seed, KEYGEN_LABEL).take(required_len)
 
 
 def _check_image(img: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cloud_node import credential_line, read_credentials
 from .image_cipher import image_dec, image_enc
 
 VAULT_HEADER = "MIPP-VAULT-1"
@@ -119,8 +120,7 @@ class KmcNode:
     def save_vault(self, path: str | Path) -> None:
         """Write owner keys hex-encoded; session keys are never written."""
         lines = [VAULT_HEADER]
-        for oid, sk in sorted(self._owner_keys.items()):
-            lines.append(f"{oid}\t{sk.hex()}")
+        lines += [credential_line(oid, sk) for oid, sk in sorted(self._owner_keys.items())]
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         with open(fd, "w") as fh:
             os.fchmod(fd, 0o600)  # os.open's mode does not apply to an existing file
@@ -132,14 +132,5 @@ class KmcNode:
         if not lines or lines[0] != VAULT_HEADER:
             raise ValueError(f"missing {VAULT_HEADER} header")
         node = cls()
-        for number, ln in enumerate(lines[1:], 2):
-            oid, tab, hexkey = ln.partition("\t")
-            if not tab:
-                raise ValueError(f"{path}: line {number} has no tab")
-            if oid in node._owner_keys:
-                raise ValueError(f"{path}: line {number} repeats owner {oid!r}")
-            try:
-                node._owner_keys[oid] = bytes.fromhex(hexkey)
-            except ValueError:
-                raise ValueError(f"{path}: line {number} has a malformed hex field") from None
+        node._owner_keys = read_credentials(path, lines[1:], 2, "owner")
         return node

@@ -12,9 +12,10 @@ to its recipient through a transport it is given.  All actors live in one
 process.  ``World`` hops go through the wire: every message is serialized to
 the canonical wire format, recorded in the transcript and parsed back before
 the recipient acts, so a socket transport can be dropped in without touching
-actor logic.  ``mipp query`` hands the same messages over in process.  Every
-random choice derives from the seed, making transcripts byte-identical
-across runs.
+actor logic.  ``mipp query`` hands the same messages over in process.  Each
+``MessageKind`` value is the number of the protocol step that sends it, so
+a transcript entry's step is its message's kind.  Every random choice
+derives from the seed, making transcripts byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import feature_crypto
-from .cloud_node import AuthorizationError, CloudNode, QueryEnvelope
+from .cloud_node import DEFAULT_TOP_H, AuthorizationError, CloudNode, QueryEnvelope
 from .ehd_features import extract_ehd
 from .feature_crypto import EncryptedFeature
 from .group_crypto import GroupParams
@@ -305,15 +306,14 @@ def decode_message(data: bytes) -> Message:
 
 @dataclass(frozen=True)
 class TranscriptEntry:
-    step: int
-    kind: str
+    kind: MessageKind  # its value is the step
     session: str
     n_bytes: int
     digest: str
 
     def line(self) -> str:
         return (
-            f"{self.step} {self.kind} session={self.session} "
+            f"{self.kind.value} {self.kind.name} session={self.session} "
             f"bytes={self.n_bytes} sha256={self.digest}"
         )
 
@@ -323,12 +323,12 @@ class SessionTranscript:
     entries: list[TranscriptEntry] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def record(self, step: int, message_bytes: bytes, kind: MessageKind, session: bytes) -> None:
+    def record(self, message: Message, message_bytes: bytes) -> None:
+        """Log ``message``, sent as ``message_bytes``, under its step."""
         self.entries.append(
             TranscriptEntry(
-                step=step,
-                kind=kind.name,
-                session=session.hex(),
+                kind=message.kind,
+                session=message.session.hex(),
                 n_bytes=len(message_bytes),
                 digest=hashlib.sha256(message_bytes).hexdigest()[:16],
             )
@@ -338,7 +338,7 @@ class SessionTranscript:
         self.notes.append(text)
 
     def steps(self) -> list[int]:
-        return [e.step for e in self.entries]
+        return [e.kind.value for e in self.entries]
 
     def to_text(self) -> str:
         lines = [e.line() for e in self.entries]
@@ -443,18 +443,18 @@ def query_session(
     kmc: KmcNode,
     uid: str,
     ak: bytes,
-    query_image: np.ndarray,
+    query_feature: np.ndarray,
     h: int,
     seed: bytes | str,
     ordinal: int,
     key_len: int,
-    send: Callable[[int, Message, SessionTranscript, Callable[[Message], object]], object],
+    send: Callable[[Message, SessionTranscript, Callable[[Message], object]], object],
 ) -> SessionResult:
-    """Steps 3..7 of user ``uid``'s ``ordinal``-th query, then the user's
-    local re-rank.
+    """Steps 3..7 of user ``uid``'s ``ordinal``-th query, whose image has
+    the EHD ``query_feature``, then the user's local re-rank.
 
-    ``send(step, message, transcript, handler)`` carries each message to
-    its recipient and returns ``handler``'s result on it.  The cloud's
+    ``send(message, transcript, handler)`` carries each message to its
+    recipient and returns ``handler``'s result on it.  The cloud's
     ``retrieve_top_h`` is the only authorization check: when it refuses the
     user, the session notes the failure, drops the user key at the KMC and
     ends unauthorized.  Everything random derives from (seed, uid, ordinal);
@@ -463,17 +463,16 @@ def query_session(
     session = ByteStream(derive_seed(seed, f"session:{uid}:{ordinal}")).take(SESSION_ID_BYTES)
     sid = session.hex()
     transcript = SessionTranscript()
-    query_feature = extract_ehd(query_image)
     eq = feature_crypto.encrypt_feature_pair(
         params, query_feature, derive_seed(seed, f"query-feature:{uid}:{ordinal}")
     )
-    usk = keygen(128, key_len, derive_seed(seed, f"usk:{uid}:{ordinal}"))
+    usk = keygen(key_len, derive_seed(seed, f"usk:{uid}:{ordinal}"))
 
-    def hop(step: int, payload, handler: Callable[[Message], object]):
-        return send(step, Message(session, payload), transcript, handler)
+    def hop(payload, handler: Callable[[Message], object]):
+        return send(Message(session, payload), transcript, handler)
 
-    envelope = hop(3, QueryEnvelope(eq=eq, uid=uid, ak=ak, h=h), lambda m: m.payload)
-    hop(4, UserKeyDeposit(uid=uid, usk=usk),
+    envelope = hop(QueryEnvelope(eq=eq, uid=uid, ak=ak, h=h), lambda m: m.payload)
+    hop(UserKeyDeposit(uid=uid, usk=usk),
         lambda m: kmc.store_user_key(m.payload.uid, m.payload.usk, sid))
     try:
         retrieved = cloud.retrieve_top_h(envelope)
@@ -484,10 +483,10 @@ def query_session(
                              returned=[], cloud_distance={}, images={}, ranking=[])
     er = tuple((r.owner_id, r.image_id, r.enc_image) for r in retrieved)
 
-    ner = hop(5, CloudToKmc(uid=uid, ak=ak, results=er),
+    ner = hop(CloudToKmc(uid=uid, ak=ak, results=er),
               lambda m: tuple(kmc.reencrypt_results(list(m.payload.results), m.payload.uid, sid)))
-    forwarded = hop(6, KmcToCloud(uid=uid, results=ner), lambda m: m.payload.results)
-    delivered = hop(7, CloudToUser(uid=uid, results=forwarded), lambda m: m.payload.results)
+    forwarded = hop(KmcToCloud(uid=uid, results=ner), lambda m: m.payload.results)
+    delivered = hop(CloudToUser(uid=uid, results=forwarded), lambda m: m.payload.results)
 
     images, ranking = decrypt_and_rerank(usk, query_feature, delivered)
     return SessionResult(session=sid, authorized=True, transcript=transcript,
@@ -508,7 +507,7 @@ class World:
         self,
         params: GroupParams,
         seed: bytes | str,
-        top_h: int = 100,
+        top_h: int = DEFAULT_TOP_H,
         max_image_pixels: int = 256 * 256,
     ):
         self.params = params
@@ -545,9 +544,7 @@ class World:
         """
         if owner_id in self.owners:
             raise ValueError(f"owner {owner_id!r} already exists")
-        sk = keygen(
-            128, self.max_image_pixels, derive_seed(self.seed, f"owner-sk:{owner_id}")
-        )
+        sk = keygen(self.max_image_pixels, derive_seed(self.seed, f"owner-sk:{owner_id}"))
         uploads, plain_features = encrypt_uploads(
             self.params, sk, images, self.seed, f"feature:{owner_id}:"
         )
@@ -559,11 +556,11 @@ class World:
 
         upload = Message(setup_session, OwnerUpload(owner_id=owner_id, aul=aul,
                                                     images=tuple(uploads)))
-        self._send(1, upload, self.setup_transcript, lambda m: self.cloud.register_owner(
+        self._send(upload, self.setup_transcript, lambda m: self.cloud.register_owner(
             m.payload.owner_id, m.payload.aul, m.payload.images))
 
         deposit = Message(setup_session, OwnerKeyDeposit(owner_id=owner_id, sk=sk))
-        self._send(2, deposit, self.setup_transcript, lambda m: self.kmc.store_owner_key(
+        self._send(deposit, self.setup_transcript, lambda m: self.kmc.store_owner_key(
             m.payload.owner_id, m.payload.sk))
 
         actor = OwnerActor(plain_images=dict(images), plain_features=plain_features)
@@ -576,17 +573,19 @@ class World:
         self, uid: str, query_image: np.ndarray, h: int | None = None
     ) -> SessionResult:
         """Run steps 3..7 for one query through ``query_session``, every hop
-        over the wire.
+        over the wire; a query image too small for an EHD raises
+        ``ImageTooSmallError`` before the session starts.
 
         Sessions of distinct users may run concurrently; everything random
         derives from (world seed, uid, per-user ordinal), so results do not
         depend on scheduling.
         """
         user = self.users[uid]
+        query_feature = extract_ehd(query_image)
         with self._lock:
             ordinal = user.sessions_run
             user.sessions_run += 1
-        return query_session(self.params, self.cloud, self.kmc, uid, user.ak, query_image,
+        return query_session(self.params, self.cloud, self.kmc, uid, user.ak, query_feature,
                              self.top_h if h is None else h, self.seed, ordinal,
                              self.max_image_pixels, self._send)
 
@@ -594,13 +593,12 @@ class World:
 
     def _send(
         self,
-        step: int,
         message: Message,
         transcript: SessionTranscript,
         handler: Callable[[Message], object],
     ):
         data = encode_message(message)
-        transcript.record(step, data, message.kind, message.session)
+        transcript.record(message, data)
         return handler(decode_message(data))
 
 

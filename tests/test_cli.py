@@ -1,3 +1,4 @@
+import re
 import shutil
 
 import numpy as np
@@ -269,23 +270,39 @@ def test_cli_query_matches_a_world_session_on_the_same_corpus(corpus_dir, tmp_pa
 
 @pytest.mark.parametrize("image, top_h, message", [
     (None, "0", "--top-h must be >= 1, not 0"),
-    ("missing.pgm", "10", "--image: "),
-    ("params.txt", "10", "--image: "),
-], ids=["h-zero", "missing-image", "not-a-pgm"])
+    ("missing.pgm", "10", "--image: [Errno 2] No such file or directory: '{path}'"),
+    ("params.txt", "10", "--image: {path}: not a binary PGM (P5) file"),
+    ("tiny.pgm", "10", "--image: 4x4 image too small for a 4x4 grid of 2x2 blocks"),
+], ids=["h-zero", "missing-image", "not-a-pgm", "too-small-image"])
 def test_query_input_errors_exit_1_before_the_session_counter(
     store_dir, corpus_dir, tmp_path, capsys, image, top_h, message
 ):
     store = tmp_path / "store"
     shutil.copytree(store_dir, store)
     (store / "session.counter").write_text("5")
+    write_pgm(store / "tiny.pgm", np.zeros((4, 4), dtype=np.uint8))
     query_image = store / image if image else sorted((corpus_dir / "cat00").glob("*.pgm"))[0]
     capsys.readouterr()
     assert main(["query", "--store", str(store), "--image", str(query_image),
                  "--top-h", top_h]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(message) and captured.err.count("\n") == 1
-    assert (image or "") in captured.err and captured.out == ""
+    assert captured.err == message.format(path=query_image) + "\n"
+    assert captured.out == ""
     assert (store / "session.counter").read_text() == "5"
+
+
+def test_a_malformed_store_file_is_named_in_its_error(store_dir, tmp_path):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    eft = sorted((store / "cloud" / "owners" / "owner-2" / "feat").glob("*.eft"))[3]
+    eft.write_text(eft.read_text().splitlines()[0] + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(eft))}: expected MIPP-EFT-1 header"):
+        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])
+
+    params = store / "params.txt"
+    params.write_text("MIPP-PARAMS-0\n" + params.read_text().split("\n", 1)[1])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(params))}: missing MIPP-PARAMS-1"):
+        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])
 
 
 def test_query_of_a_store_without_owners_is_authorized_by_no_owner(

@@ -56,6 +56,20 @@ def test_generated_params_invariants():
         assert params.g1 != 1
         assert params.g2 == pow(params.g1, params.p, params.p_squared)
         assert math.gcd(params.g2, params.p_squared) == 1
+        params.validate()  # the search guarantees it, so generation skips it
+
+
+@pytest.mark.parametrize("p, q, h, message", [
+    (25, 3, 2, "p and q must both be prime"),  # 3 | 25 - 1, but 25 = 5^2
+    (23, 22, 2, "p and q must both be prime"),  # 22 | 23 - 1, but 22 = 2 * 11
+    (23, 7, 2, "q must divide p - 1"),
+    (23, 11, 1, r"h must lie in \(1, p\)"),
+    (23, 11, 23, r"h must lie in \(1, p\)"),
+    (23, 11, 22, "h collapses to the trivial subgroup element"),
+], ids=["composite-p", "composite-q", "q-not-dividing", "h-low", "h-high", "h-trivial"])
+def test_params_from_primes_refuses_inconsistent_input(p, q, h, message):
+    with pytest.raises(ValueError, match=message):
+        params_from_primes(p, q, h)
 
 
 def test_generation_is_deterministic():

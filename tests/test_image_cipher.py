@@ -9,6 +9,7 @@ from mipp.image_cipher import (
     read_pgm,
     write_pgm,
 )
+from mipp.rng import ByteStream
 
 
 def random_image(rng, max_side=64):
@@ -18,8 +19,8 @@ def random_image(rng, max_side=64):
 
 
 def test_keygen_deterministic():
-    a = keygen(128, 4, b"seed-A")
-    b = keygen(128, 4, b"seed-A")
+    a = keygen(4, b"seed-A")
+    b = keygen(4, b"seed-A")
     assert a == b
     assert len(a) == 4
 
@@ -30,16 +31,19 @@ def test_keygen_seed_sensitivity():
         s1, s2 = rng.bytes(8), rng.bytes(8)
         if s1 == s2:
             continue
-        assert keygen(128, 4, s1) != keygen(128, 4, s2)
+        assert keygen(4, s1) != keygen(4, s2)
 
 
-def test_keygen_k_sensitivity():
-    assert keygen(128, 16, b"s") != keygen(256, 16, b"s")
+def test_keygen_is_the_keygen_128_stream():
+    # the label stays the one keystreams were first drawn under, and a
+    # shorter key is a prefix of a longer one
+    assert keygen(16, b"s") == ByteStream(b"s", b"keygen-128").take(16)
+    assert keygen(5, b"s") == keygen(16, b"s")[:5]
 
 
 def test_keygen_zero_length_rejected():
     with pytest.raises(KeyLengthError):
-        keygen(128, 0, b"seed")
+        keygen(0, b"seed")
 
 
 def test_zero_keystream_is_identity():
@@ -54,7 +58,7 @@ def test_known_xor_value():
 
 
 def test_all_zero_ciphertext_reveals_key():
-    sk = keygen(128, 12, b"k")
+    sk = keygen(12, b"k")
     zero = np.zeros((3, 4), dtype=np.uint8)
     assert image_dec(sk, zero).tobytes() == sk
 
@@ -63,7 +67,7 @@ def test_roundtrip_and_dimensions():
     rng = np.random.default_rng(7)
     for _ in range(50):
         img = random_image(rng)
-        sk = keygen(128, img.size, rng.bytes(8))
+        sk = keygen(img.size, rng.bytes(8))
         ew = image_enc(sk, img)
         assert ew.shape == img.shape
         assert np.array_equal(image_dec(sk, ew), img)
@@ -72,7 +76,7 @@ def test_roundtrip_and_dimensions():
 def test_enc_dec_are_the_same_function():
     rng = np.random.default_rng(9)
     img = random_image(rng)
-    sk = keygen(128, img.size, b"same")
+    sk = keygen(img.size, b"same")
     assert np.array_equal(image_enc(sk, img), image_dec(sk, img))
 
 
@@ -80,8 +84,8 @@ def test_wrong_key_does_not_decrypt():
     rng = np.random.default_rng(11)
     for trial in range(100):
         img = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-        k1 = keygen(128, img.size, b"right-%d" % trial)
-        k2 = keygen(128, img.size, b"wrong-%d" % trial)
+        k1 = keygen(img.size, b"right-%d" % trial)
+        k2 = keygen(img.size, b"wrong-%d" % trial)
         assert k1 != k2
         assert not np.array_equal(image_dec(k2, image_enc(k1, img)), img)
 
@@ -97,7 +101,7 @@ def test_ciphertext_histogram_near_uniform():
     # flat.  Chi-square with 255 dof; 400 is a deliberately loose cutoff
     # (99.9th percentile is ~330).
     img = np.full((256, 256), 200, dtype=np.uint8)
-    sk = keygen(128, img.size, b"histogram")
+    sk = keygen(img.size, b"histogram")
     ew = image_enc(sk, img)
     counts = np.bincount(ew.ravel(), minlength=256)
     expected = img.size / 256

@@ -13,7 +13,7 @@ def img(seed, shape=(6, 6)):
 
 def test_store_and_fetch_owner_key():
     kmc = KmcNode()
-    sk = keygen(128, 36, b"owner")
+    sk = keygen(36, b"owner")
     kmc.store_owner_key("o1", sk)
     assert kmc.owner_key("o1") == sk
 
@@ -29,8 +29,8 @@ def test_owner_key_overwrite_needs_rotate():
 def test_reencrypt_roundtrip():
     kmc = KmcNode()
     w = img(1)
-    sk = keygen(128, w.size, b"sk")
-    usk = keygen(128, w.size, b"usk")
+    sk = keygen(w.size, b"sk")
+    usk = keygen(w.size, b"usk")
     kmc.store_owner_key("o1", sk)
     kmc.store_user_key("u1", usk, "s1")
     ner = kmc.reencrypt_results([("o1", "im1", image_enc(sk, w))], "u1", "s1")
@@ -41,7 +41,7 @@ def test_reencrypt_roundtrip():
 def test_equal_keys_make_reencryption_identity():
     kmc = KmcNode()
     w = img(2)
-    k = keygen(128, w.size, b"shared")
+    k = keygen(w.size, b"shared")
     kmc.store_owner_key("o1", k)
     kmc.store_user_key("u1", k, "s1")
     ew = image_enc(k, w)
@@ -52,8 +52,8 @@ def test_equal_keys_make_reencryption_identity():
 def test_order_and_cardinality_preserved():
     kmc = KmcNode()
     images = [img(i) for i in range(5)]
-    sk = keygen(128, images[0].size, b"o")
-    usk = keygen(128, images[0].size, b"u")
+    sk = keygen(images[0].size, b"o")
+    usk = keygen(images[0].size, b"u")
     kmc.store_owner_key("o1", sk)
     kmc.store_user_key("u1", usk, "s1")
     er = [("o1", f"im{i}", image_enc(sk, w)) for i, w in enumerate(images)]
@@ -138,8 +138,8 @@ def test_reencrypt_spends_key_before_use(monkeypatch):
 
     kmc = KmcNode()
     w = img(8)
-    sk = keygen(128, w.size, b"sk")
-    usk = keygen(128, w.size, b"usk")
+    sk = keygen(w.size, b"sk")
+    usk = keygen(w.size, b"usk")
     kmc.store_owner_key("o1", sk)
     kmc.store_user_key("u1", usk, "s1")
     er = [("o1", "im1", image_enc(sk, w))]
@@ -168,8 +168,8 @@ def test_reencrypt_spends_key_before_use(monkeypatch):
 def test_wrong_session_leaves_key_in_place():
     kmc = KmcNode()
     w = img(9)
-    sk = keygen(128, w.size, b"sk")
-    usk = keygen(128, w.size, b"usk")
+    sk = keygen(w.size, b"sk")
+    usk = keygen(w.size, b"usk")
     kmc.store_owner_key("o1", sk)
     kmc.store_user_key("u1", usk, "s1")
     er = [("o1", "im1", image_enc(sk, w))]
@@ -186,9 +186,9 @@ def test_concurrent_reencrypt_spends_key_once():
 
     kmc = KmcNode()
     images = [img(20 + i) for i in range(20)]
-    sk = keygen(128, images[0].size, b"sk")
+    sk = keygen(images[0].size, b"sk")
     kmc.store_owner_key("o1", sk)
-    kmc.store_user_key("u1", keygen(128, images[0].size, b"usk"), "s1")
+    kmc.store_user_key("u1", keygen(images[0].size, b"usk"), "s1")
     er = [("o1", f"im{i}", image_enc(sk, w)) for i, w in enumerate(images)]
     start = threading.Barrier(8)
     outcomes = []

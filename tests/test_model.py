@@ -68,7 +68,7 @@ def sums(f) -> tuple[int, int]:
 
 
 def owner_sk(owner_id: str) -> bytes:
-    return keygen(128, KEY_LEN, b"sk-" + owner_id.encode())
+    return keygen(KEY_LEN, b"sk-" + owner_id.encode())
 
 
 class CloudModel(RuleBasedStateMachine):
@@ -253,7 +253,7 @@ class CloudModel(RuleBasedStateMachine):
         envelope = QueryEnvelope(eq=encrypt_feature_pair(PARAMS, query, self.fresh_seed()),
                                  uid=uid, ak=ak, h=5)
         er = [(r.owner_id, r.image_id, r.enc_image) for r in self.cloud.retrieve_top_h(envelope)]
-        usk = keygen(128, KEY_LEN, self.fresh_seed())
+        usk = keygen(KEY_LEN, self.fresh_seed())
         session = self.fresh_seed().hex()
         self.kmc.store_user_key(uid, usk, session)
         out = self.kmc.reencrypt_results(er, uid, session)
