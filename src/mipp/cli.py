@@ -35,16 +35,18 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _load_store(store: Path):
+def _load_store(store: Path, open_cloud):
+    """The store's params, cloud (opened by ``open_cloud``), KMC and users."""
     params = group_crypto.load_params(store / "params.txt")
-    cloud = CloudNode.load_store(store / "cloud", params)
+    cloud = open_cloud(store / "cloud", params)
     kmc = KmcNode.load_vault(store / "vault")
-    lines = (store / "users.tsv").read_text().strip().splitlines()
+    users_path = store / "users.tsv"
+    lines = users_path.read_text().strip().splitlines()
     if not lines or lines[0] != USERS_HEADER:
-        raise ValueError("users.tsv missing or malformed")
-    users = read_credentials(store / "users.tsv", lines[1:], 2, "user")
+        raise ValueError(f"{users_path}: missing or malformed header")
+    users = read_credentials(users_path, lines[1:], 2, "user")
     if not users:
-        raise ValueError(f"{store / 'users.tsv'} lists no user")
+        raise ValueError(f"{users_path} lists no user")
     return params, cloud, kmc, users
 
 
@@ -102,7 +104,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_query(args) -> int:
     store = Path(args.store)
-    params, cloud, kmc, users = _load_store(store)
+    # a query reads only the pixels of the images it returns
+    params, cloud, kmc, users = _load_store(store, CloudNode.open_store)
     uid, ak = next(iter(users.items()))
     if args.top_h < 1:
         print(f"--top-h must be >= 1, not {args.top_h}", file=sys.stderr)
@@ -193,7 +196,7 @@ def cmd_bench(args) -> int:
 
 def cmd_update(args) -> int:
     store = Path(args.store)
-    params, cloud, kmc, _ = _load_store(store)
+    params, cloud, kmc, _ = _load_store(store, CloudNode.load_store)
     seed = args.seed.encode()
     sk = kmc.owner_key(args.owner)
 

@@ -17,11 +17,22 @@ recovered from, so there is no second table to keep in step.  One lock
 serves readers and writers: queries, ``verify_user`` and ``index`` read
 under it, registration and updates hold it while they stage and then store
 the records, so no retrieval ever observes a half-applied update.
+
+On disk a cloud is ``index.tsv`` plus ``owners/<id>/`` with a manifest,
+``img/<image>.pgm`` and ``feat/<image>.eft``.  ``open_store`` reads only
+the index, the manifests, the ``img/`` and ``feat/`` listings and the first
+stored feature, which fixes the dimension; each image then reads its pixels
+and its feature the first time they are used, under the lock, so a query
+reads the h images it returns.  ``load_store`` is ``open_store`` followed by
+reading every image, so it refuses a malformed ``.eft`` that a query never
+reads.  ``save_store`` reads every record before it rewrites ``owners/``.
 """
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 import re
 import shutil
 import threading
@@ -78,11 +89,43 @@ class IndexEntry(NamedTuple):
     s2: int
 
 
-@dataclass(frozen=True)
 class StoredImage:
-    enc_image: np.ndarray
-    feature: EncryptedFeature
-    row: IndexEntry
+    """One stored image: its index row, encrypted pixels and encrypted feature.
+
+    An image of a store opened by ``CloudNode.open_store`` may start
+    without its pixels or its feature, and then reads each from the store
+    the first time it is used, under its cloud's lock.  Its ``source`` is
+    that lock, its owner's directory and the cloud's feature dimension; it
+    holds no reference to the cloud, so a cloud that is dropped is freed at
+    once.
+    """
+
+    __slots__ = ("row", "_enc_image", "_feature", "_source")
+
+    def __init__(self, enc_image: np.ndarray | None, feature: EncryptedFeature | None,
+                 row: IndexEntry, source: tuple | None = None):
+        self.row = row
+        self._enc_image = enc_image
+        self._feature = feature
+        self._source = source
+
+    @property
+    def enc_image(self) -> np.ndarray:
+        if self._enc_image is None:
+            lock, base, _ = self._source
+            with lock:
+                if self._enc_image is None:
+                    self._enc_image = read_pgm(base / "img" / f"{self.row.image_id}.pgm")[0]
+        return self._enc_image
+
+    @property
+    def feature(self) -> EncryptedFeature:
+        if self._feature is None:
+            lock, base, dims = self._source
+            with lock:
+                if self._feature is None:
+                    self._feature = _read_feature(base / "feat" / f"{self.row.image_id}.eft", dims)
+        return self._feature
 
 
 @dataclass
@@ -240,7 +283,7 @@ class CloudNode:
             authorized = self.verify_user(q.uid, q.ak)
             if not authorized:
                 raise AuthorizationError(f"user {q.uid!r} matches no owner's list")
-            self._dims_of([q.eq])
+            _dims_of(self._dims, [q.eq])
             qs1, qs2 = feature_crypto.recover_sums(self.params, q.eq)
             query = SumPair(s1=qs1, s2=qs2, l=q.eq.dims)
             if not query.is_consistent():
@@ -282,15 +325,6 @@ class CloudNode:
             else:
                 raise TypeError(f"unknown update command {type(command).__name__}")
 
-    def _dims_of(self, features: Iterable[EncryptedFeature]) -> int | None:
-        """The cloud's dimension once ``features`` are accepted; checks them."""
-        dims = self._dims
-        for feature in features:
-            dims = dims or feature.dims
-            if feature.dims != dims:
-                raise ValueError(f"feature dimension {feature.dims}, the cloud holds {dims}")
-        return dims
-
     def _add_images(self, record: OwnerRecord, items: Sequence[tuple]) -> int:
         """Store new images of ``record`` with their rows; all of them or none."""
         for image_id, _, _ in items:
@@ -300,13 +334,13 @@ class CloudNode:
         _require_distinct(record.owner_id, (image_id for image_id, _, _ in items))
         staged = self._stage(record.owner_id, items)
         record.images.update(staged)
-        self._dims = self._dims_of(stored.feature for stored in staged.values())
+        self._dims = _dims_of(self._dims, (stored.feature for stored in staged.values()))
         return len(staged)
 
     def _stage(self, owner_id: str, items: Sequence[tuple]) -> dict[str, StoredImage]:
         """``items``, whose ids are distinct, as stored images with their
         recovered rows; stores nothing."""
-        self._dims_of(feature for _, _, feature in items)
+        _dims_of(self._dims, (feature for _, _, feature in items))
         return {
             image_id: StoredImage(enc_image, feature, self._make_row(owner_id, image_id, feature))
             for image_id, enc_image, feature in items
@@ -333,75 +367,124 @@ class CloudNode:
     def save_store(self, root: str | Path) -> None:
         """Persist owners/<OID>/{manifest,img,feat} plus index.tsv.
 
-        The owners subtree is rewritten from scratch so deletions do not
-        leave stale files behind.
+        Every record is read before anything is written, so a store file
+        that fails to read leaves the tree as it was.  The owners subtree is
+        then rewritten from scratch so deletions do not leave stale files
+        behind.
         """
         root = Path(root)
+        with self._lock:
+            index = self.index_table()
+            owners = [
+                (owner_id, sorted(record.aul),
+                 [(image_id, stored.enc_image, stored.feature)
+                  for image_id, stored in sorted(record.images.items())])
+                for owner_id, record in sorted(self._owners.items())
+            ]
         root.mkdir(parents=True, exist_ok=True)
         if (root / "owners").exists():
             shutil.rmtree(root / "owners")
-        (root / "index.tsv").write_text(self.index_table())
+        (root / "index.tsv").write_text(index)
 
-        for owner_id, record in sorted(self._owners.items()):
+        for owner_id, aul, images in owners:
             base = root / "owners" / owner_id
             (base / "img").mkdir(parents=True, exist_ok=True)
             (base / "feat").mkdir(parents=True, exist_ok=True)
             manifest = [MANIFEST_HEADER, owner_id]
-            manifest += [credential_line(uid, ak) for uid, ak in sorted(record.aul)]
+            manifest += [credential_line(uid, ak) for uid, ak in aul]
             (base / "manifest").write_text("\n".join(manifest) + "\n")
-            for image_id, stored in sorted(record.images.items()):
-                write_pgm(base / "img" / f"{image_id}.pgm", stored.enc_image,
-                          encrypted=True)
+            for image_id, enc_image, feature in images:
+                write_pgm(base / "img" / f"{image_id}.pgm", enc_image, encrypted=True)
                 (base / "feat" / f"{image_id}.eft").write_text(
-                    feature_crypto.feature_to_text(stored.feature)
+                    feature_crypto.feature_to_text(feature)
                 )
 
     @classmethod
-    def load_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
-        """Load a store; every image must have exactly one ``index.tsv`` row."""
+    def open_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
+        """Open a store reading only ``index.tsv``, each manifest, the
+        ``img/`` and ``feat/`` listings and the first stored feature, which
+        sets the cloud's dimension.  Every other image reads its pixels and
+        feature on first use.  Each image must have exactly one ``index.tsv``
+        row and a ``.eft`` file."""
         root = Path(root)
         node = cls(params)
-        index_lines = (root / "index.tsv").read_text().strip().splitlines()
+        index_path = root / "index.tsv"
+        index_lines = index_path.read_text().strip().splitlines()
         if not index_lines or index_lines[0] != INDEX_HEADER:
-            raise ValueError("index.tsv missing or malformed header")
+            raise ValueError(f"{index_path}: missing or malformed header")
         rows: dict[tuple[str, str], IndexEntry] = {}
         for number, ln in enumerate(index_lines[1:], 2):
             try:
                 owner_id, image_id, s1, s2 = ln.split("\t")
                 row = IndexEntry(owner_id, image_id, int(s1), int(s2))
             except ValueError:
-                raise ValueError(
-                    f"{root / 'index.tsv'}: line {number} is malformed: {ln!r}"
-                ) from None
+                raise ValueError(f"{index_path}: line {number} is malformed: {ln!r}") from None
             if (owner_id, image_id) in rows:
                 raise CloudError(f"index row {owner_id}/{image_id} is listed twice")
             rows[(owner_id, image_id)] = row
 
         owners_dir = root / "owners"
-        for base in sorted(owners_dir.iterdir()) if owners_dir.is_dir() else []:
+        for name in sorted(_listing(owners_dir)):
+            base = owners_dir / name
             manifest = (base / "manifest").read_text().strip().splitlines()
             if len(manifest) < 2 or manifest[0] != MANIFEST_HEADER:
                 raise ValueError(f"{base}: malformed manifest")
             owner_id = manifest[1]
             _check_id(owner_id, "owner id")
-            if owner_id != base.name:
-                raise ValueError(f"{base}/manifest: owner id {owner_id!r} is not {base.name!r}")
+            if owner_id != name:
+                raise ValueError(f"{base}/manifest: owner id {owner_id!r} is not {name!r}")
             aul = read_credentials(base / "manifest", manifest[2:], 3, "user")
             record = OwnerRecord(owner_id=owner_id, aul=frozenset(aul.items()))
-            for pgm in sorted((base / "img").glob("*.pgm")):
-                image_id = pgm.stem
-                enc_image, _ = read_pgm(pgm)
-                eft = base / "feat" / f"{image_id}.eft"
-                try:
-                    feature = feature_crypto.feature_from_text(eft.read_text())
-                    node._dims = node._dims_of([feature])
-                except ValueError as exc:
-                    raise ValueError(f"{eft}: {exc}") from None
+            features = set(_listing(base / "feat"))
+            pgms = (n.removesuffix(".pgm") for n in _listing(base / "img") if n.endswith(".pgm"))
+            for image_id in sorted(pgms):
+                if f"{image_id}.eft" not in features:
+                    eft = base / "feat" / f"{image_id}.eft"
+                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(eft))
                 row = rows.pop((owner_id, image_id), None)
                 if row is None:
                     raise CloudError(f"image {owner_id}/{image_id} has no index row")
-                record.images[image_id] = StoredImage(enc_image, feature, row)
+                feature = None
+                if node._dims is None:  # the first stored feature fixes the dimension
+                    feature = _read_feature(base / "feat" / f"{image_id}.eft", None)
+                    node._dims = feature.dims
+                source = (node._lock, base, node._dims)
+                record.images[image_id] = StoredImage(None, feature, row, source)
             node._owners[owner_id] = record
         if rows:
             raise CloudError("index row {}/{} has no image".format(*min(rows)))
         return node
+
+    @classmethod
+    def load_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
+        """``open_store``, then read every image's pixels and feature."""
+        node = cls.open_store(root, params)
+        for record in node._owners.values():
+            for image_id, stored in record.images.items():
+                record.images[image_id] = StoredImage(stored.enc_image, stored.feature, stored.row)
+        return node
+
+
+def _dims_of(dims: int | None, features: Iterable[EncryptedFeature]) -> int | None:
+    """A cloud's dimension, ``dims`` until set, once ``features`` are
+    accepted; checks them."""
+    for feature in features:
+        dims = dims or feature.dims
+        if feature.dims != dims:
+            raise ValueError(f"feature dimension {feature.dims}, the cloud holds {dims}")
+    return dims
+
+
+def _read_feature(eft: Path, dims: int | None) -> EncryptedFeature:
+    """The feature in ``eft``, checked against a cloud's dimension ``dims``."""
+    try:
+        feature = feature_crypto.feature_from_text(eft.read_text())
+        _dims_of(dims, [feature])
+    except ValueError as exc:
+        raise ValueError(f"{eft}: {exc}") from None
+    return feature
+
+
+def _listing(directory: Path) -> list[str]:
+    """The names in ``directory``; none if it does not exist."""
+    return os.listdir(directory) if directory.is_dir() else []

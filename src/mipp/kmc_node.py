@@ -130,7 +130,7 @@ class KmcNode:
     def load_vault(cls, path: str | Path) -> "KmcNode":
         lines = Path(path).read_text().strip().splitlines()
         if not lines or lines[0] != VAULT_HEADER:
-            raise ValueError(f"missing {VAULT_HEADER} header")
+            raise ValueError(f"{path}: missing {VAULT_HEADER} header")
         node = cls()
         node._owner_keys = read_credentials(path, lines[1:], 2, "owner")
         return node

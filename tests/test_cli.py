@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from mipp import cloud_node
 from mipp.cli import main
 from mipp.cloud_node import DuplicateImageError, OwnershipError
 from mipp.ehd_features import extract_ehd
@@ -317,3 +318,46 @@ def test_query_of_a_store_without_owners_is_authorized_by_no_owner(
     capsys.readouterr()
     assert main(["query", "--store", str(store), "--image", str(query_image)]) == 1
     assert capsys.readouterr().err == "user 'user-1' is authorized by no owner\n"
+
+
+@pytest.mark.parametrize("path", ["vault", "users.tsv", "cloud/index.tsv"])
+def test_a_bad_header_names_the_file(store_dir, corpus_dir, tmp_path, path):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    target = store / path
+    target.write_text("BAD-HEADER\n" + target.read_text().split("\n", 1)[1])
+    query_image = sorted((corpus_dir / "cat00").glob("*.pgm"))[0]
+    for argv in (["query", "--image", str(query_image)],
+                 ["update", "--owner", "owner-1", "--delete", "x"]):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(target))}: "):
+            main(argv + ["--store", str(store)])
+
+
+def test_query_reads_only_the_images_it_returns(
+    store_dir, corpus_dir, tmp_path, capsys, monkeypatch
+):
+    intact, store = tmp_path / "intact", tmp_path / "store"
+    shutil.copytree(store_dir, intact)
+    shutil.copytree(store_dir, store)
+    query_image = sorted((corpus_dir / "cat01").glob("*.pgm"))[0]
+    argv = ["query", "--image", str(query_image), "--top-h", "5", "--seed", "lazy"]
+    capsys.readouterr()
+    assert main(argv + ["--store", str(intact)]) == 0
+    want = capsys.readouterr().out
+    returned = {tuple(ln.split("\t")[1:3]) for ln in want.splitlines()[1:]}
+    assert len(returned) == 5
+    # owner-1's first image gives the cloud its feature dimension, so take
+    # another owner's image that the query does not return
+    feat = store / "cloud" / "owners" / "owner-2" / "feat"
+    eft = next(p for p in sorted(feat.glob("*.eft")) if ("owner-2", p.stem) not in returned)
+    eft.write_text(eft.read_text().splitlines()[0] + "\n")
+
+    pgm_reads = []
+    read_pgm = cloud_node.read_pgm
+    monkeypatch.setattr(cloud_node, "read_pgm",
+                        lambda path: pgm_reads.append(path) or read_pgm(path))
+    assert main(argv + ["--store", str(store)]) == 0
+    assert capsys.readouterr().out == want
+    assert len(pgm_reads) == 5
+    with pytest.raises(ValueError, match=f"^{re.escape(str(eft))}: expected MIPP-EFT-1 header"):
+        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import threading
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mipp import cloud_node, feature_crypto
 from mipp.cloud_node import (
     AddImages,
     AuthorizationError,
@@ -547,3 +549,157 @@ def test_index_that_does_not_match_the_images_is_refused(tmp_path, edit, message
     index.write_text(edit(index.read_text()))
     with pytest.raises(CloudError, match=message):
         CloudNode.load_store(tmp_path / "store", PARAMS)
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _ranking(cloud, vector, h, use_index):
+    return [(r.owner_id, r.image_id, r.distance, r.enc_image.tobytes())
+            for r in cloud.retrieve_top_h(query(vector, h=h), use_index=use_index)]
+
+
+def test_open_store_answers_as_load_store_does(tmp_path):
+    make_cloud().save_store(tmp_path / "store")
+    loaded = CloudNode.load_store(tmp_path / "store", PARAMS)
+    opened = CloudNode.open_store(tmp_path / "store", PARAMS)
+    assert opened.index == loaded.index
+    assert opened.owner_ids == loaded.owner_ids
+    # open_store reads the first stored feature, which fixes the dimension
+    with pytest.raises(ValueError, match="dimension 4"):
+        CloudNode.open_store(tmp_path / "store", PARAMS).retrieve_top_h(query([1, 2, 3, 4]))
+    for use_index in (True, False):
+        for vector, h in (([2, 3, 4], 6), ([0, 0, 0], 2), ([200, 200, 200], 1)):
+            # a fresh store each time, so the ranking makes the first reads
+            fresh = CloudNode.open_store(tmp_path / "store", PARAMS)
+            assert _ranking(fresh, vector, h, use_index) == _ranking(loaded, vector, h, use_index)
+    for owner_id in loaded.owner_ids:
+        want, got = loaded.owner_record(owner_id), opened.owner_record(owner_id)
+        assert got.aul == want.aul and got.images.keys() == want.images.keys()
+        for image_id, stored in want.images.items():
+            assert got.images[image_id].row == stored.row
+            assert got.images[image_id].enc_image.dtype == stored.enc_image.dtype
+            assert np.array_equal(got.images[image_id].enc_image, stored.enc_image)
+            assert got.images[image_id].feature == stored.feature
+
+
+def _drop_line(prefix):
+    return lambda text: "".join(ln for ln in text.splitlines(True) if not ln.startswith(prefix))
+
+
+@pytest.mark.parametrize("path, edit, error, message", [
+    ("index.tsv", lambda text: text + "owner-1\timg-b\t10\t100\n", CloudError,
+     "index row owner-1/img-b is listed twice"),
+    ("index.tsv", _drop_line("owner-2\timg-d\t"), CloudError,
+     "image owner-2/img-d has no index row"),
+    ("index.tsv", lambda text: text + "owner-1\tghost\t1\t1\n", CloudError,
+     "index row owner-1/ghost has no image"),
+    ("index.tsv", lambda text: text + "owner-1\timg-a\t9\n", ValueError,
+     "{path}: line 8 is malformed"),
+    ("index.tsv", lambda text: "owner\timage\n" + text.split("\n", 1)[1], ValueError,
+     "{path}: missing or malformed header"),
+    ("owners/owner-1/manifest", lambda text: "MIPP-OWNER-0" + text[len("MIPP-OWNER-1"):],
+     ValueError, "owner-1: malformed manifest"),
+    ("owners/owner-1/manifest", lambda text: text + "alice\n", ValueError,
+     "{path}: line 4 has no tab"),
+    ("owners/owner-1/manifest", lambda text: text + f"alice\t{bytes(32).hex()}\n", ValueError,
+     "{path}: line 4 repeats user 'alice'"),
+    ("owners/owner-1/manifest", lambda text: text.replace("\nowner-1\n", "\n../escaped\n"),
+     ValueError, "owner id '../escaped' must match"),
+    ("owners/owner-1/manifest", lambda text: text.replace("\nowner-1\n", "\nowner-2\n"),
+     ValueError, "owner id 'owner-2' is not 'owner-1'"),
+    ("owners/owner-2/feat/img-e.eft", None, FileNotFoundError, "{path}"),
+], ids=["repeated-row", "image-without-row", "row-without-image", "malformed-row",
+        "index-header", "manifest-header", "manifest-no-tab", "manifest-repeated-user",
+        "manifest-escaping-id", "manifest-other-owner", "image-without-eft"])
+@pytest.mark.parametrize("loader", ["load_store", "open_store"])
+def test_both_loaders_refuse_a_store_that_does_not_hold_together(
+    tmp_path, loader, path, edit, error, message
+):
+    make_cloud().save_store(tmp_path / "store")
+    target = tmp_path / "store" / path
+    if edit is None:
+        target.unlink()
+    else:
+        target.write_text(edit(target.read_text()))
+    with pytest.raises(error, match=re.escape(message.format(path=target))):
+        getattr(CloudNode, loader)(tmp_path / "store", PARAMS)
+
+
+def _count_reads(monkeypatch):
+    """Paths read through ``read_pgm`` and texts parsed as features, as the
+    cloud reads them."""
+    pgms, efts = [], []
+    read_pgm, feature_from_text = cloud_node.read_pgm, feature_crypto.feature_from_text
+    monkeypatch.setattr(cloud_node, "read_pgm", lambda path: pgms.append(path) or read_pgm(path))
+    monkeypatch.setattr(feature_crypto, "feature_from_text",
+                        lambda text: efts.append(text) or feature_from_text(text))
+    return pgms, efts
+
+
+def test_concurrent_reads_of_an_opened_store_read_each_image_once(tmp_path, monkeypatch):
+    make_cloud().save_store(tmp_path / "store")
+    pgms, efts = _count_reads(monkeypatch)
+    q = query([2, 3, 4], h=6)
+
+    def read_directly(cloud):
+        images = {}
+        for owner_id in cloud.owner_ids:
+            for image_id, stored in cloud.owner_record(owner_id).images.items():
+                if stored.feature.dims != 3:
+                    raise AssertionError(f"{owner_id}/{image_id}: dimension {stored.feature.dims}")
+                images[owner_id, image_id] = stored.enc_image
+        return images
+
+    def reader(cloud, start, k, results, errors):
+        try:
+            start.wait(timeout=60)
+            if k % 2:
+                results.append(read_directly(cloud))
+            else:
+                # without the index every feature is read; h=6 returns every image
+                found = cloud.retrieve_top_h(q, use_index=False)
+                results.append({(r.owner_id, r.image_id): r.enc_image for r in found})
+        except Exception as exc:  # recorded; the assertion below reports it
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            cloud = CloudNode.open_store(tmp_path / "store", PARAMS)
+            pgms.clear()
+            efts.clear()
+            start, results, errors = threading.Barrier(8), [], []
+            threads = [threading.Thread(target=reader, args=(cloud, start, k, results, errors))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == [] and len(results) == 8
+            # open_store read the first feature, to fix the cloud's dimension
+            assert len(pgms) == 6 and len(efts) == 5
+            for got in results[1:]:
+                assert got.keys() == results[0].keys()
+                assert all(got[key] is image for key, image in results[0].items())
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_saving_an_opened_store_over_itself_changes_no_byte(tmp_path):
+    root = tmp_path / "store"
+    make_cloud().save_store(root)
+    intact = _tree(root)
+    CloudNode.open_store(root, PARAMS).save_store(root)
+    assert _tree(root) == intact
+
+    eft = root / "owners" / "owner-2" / "feat" / "img-e.eft"
+    eft.write_text(eft.read_text().splitlines()[0] + "\n")
+    broken = _tree(root)
+    opened = CloudNode.open_store(root, PARAMS)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(eft))}: "):
+        opened.save_store(root)
+    assert _tree(root) == broken

@@ -2,14 +2,14 @@
 
 Hypothesis drives a ``CloudNode`` and a ``KmcNode`` through registrations,
 adds, deletes, re-encryption updates, queries on both ``retrieve_top_h``
-paths, result re-encryption and ``save_store``/``load_store`` round trips,
-and runs the same commands on a plaintext model.  Refused commands include
-repeated ids, images the owner lacks, changed sums, a wrong feature
-dimension, a spent user key and an unauthorized user.  A command the model
-refuses must raise the same error type and change nothing; after every
-step the stored rows, lists, keys and images must equal the model's, and a
-query must return the model's top h by ``rank_key``, equal keys going by
-(owner id, image id).
+paths, result re-encryption, ``save_store``/``load_store`` round trips and
+stores saved over themselves and reopened by ``open_store``, and runs the
+same commands on a plaintext model.  Refused commands include repeated ids,
+images the owner lacks, changed sums, a wrong feature dimension, a spent
+user key and an unauthorized user.  A command the model refuses must raise
+the same error type and change nothing; after every step the stored rows,
+lists, keys and images must equal the model's, and a query must return the
+model's top h by ``rank_key``, equal keys going by (owner id, image id).
 """
 
 import math
@@ -82,6 +82,11 @@ class CloudModel(RuleBasedStateMachine):
         self.has_dimension = False
         self.seeds = 0
         self.spent: list[bytes] = []
+        # a store opened by open_store reads from here for the rest of the run
+        self.store = tempfile.TemporaryDirectory()
+
+    def teardown(self):
+        self.store.cleanup()
 
     def fresh_seed(self) -> bytes:
         self.seeds += 1
@@ -288,6 +293,16 @@ class CloudModel(RuleBasedStateMachine):
                 # the vault holds owner keys only: a reloaded key center knows
                 # no spent user key
                 self.spent.clear()
+
+    @rule(credential=credentials, query=features, h=st.integers(1, 8), use_index=st.booleans())
+    def save_and_open(self, credential, query, h, use_index):
+        """Save the cloud over the store it may have been opened from, reopen
+        it with ``open_store`` and query it before anything else reads it."""
+        root = Path(self.store.name) / "cloud"
+        self.cloud.save_store(root)
+        self.cloud = CloudNode.open_store(root, PARAMS)
+        self.has_dimension = any(held for _, held in self.owners.values())
+        self.query(credential, query, h, use_index)
 
     # -- the system equals the model ---------------------------------------------
 
