@@ -16,13 +16,13 @@ import sys
 from pathlib import Path
 
 from . import evaluation, group_crypto
-from .cloud_node import (DEFAULT_TOP_H, AddImages, CloudNode, DeleteImages, UpdateImages,
-                         credential_line, read_credentials)
+from .cloud_node import (DEFAULT_TOP_H, AddImages, CloudError, CloudNode, DeleteImages,
+                         UpdateImages, credential_line, read_credentials, read_framed)
 from .ehd_features import extract_ehd
 # image_enc is not called here; it stays bound so that instrumentation
 # which wraps this module's names finds every one of them.
 from .image_cipher import image_dec, image_enc, keygen, read_pgm, write_pgm  # noqa: F401
-from .kmc_node import KmcNode
+from .kmc_node import KmcNode, VaultError
 from .protocol_sim import encrypt_uploads, query_session
 from .rng import derive_seed
 
@@ -35,16 +35,13 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _load_store(store: Path, open_cloud):
-    """The store's params, cloud (opened by ``open_cloud``), KMC and users."""
+def _load_store(store: Path):
+    """The store's params, cloud (opened lazily), KMC and users."""
     params = group_crypto.load_params(store / "params.txt")
-    cloud = open_cloud(store / "cloud", params)
+    cloud = CloudNode.open_store(store / "cloud", params)
     kmc = KmcNode.load_vault(store / "vault")
     users_path = store / "users.tsv"
-    lines = users_path.read_text().strip().splitlines()
-    if not lines or lines[0] != USERS_HEADER:
-        raise ValueError(f"{users_path}: missing or malformed header")
-    users = read_credentials(users_path, lines[1:], 2, "user")
+    users = read_credentials(users_path, read_framed(users_path, USERS_HEADER), 2, "user")
     if not users:
         raise ValueError(f"{users_path} lists no user")
     return params, cloud, kmc, users
@@ -104,8 +101,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_query(args) -> int:
     store = Path(args.store)
-    # a query reads only the pixels of the images it returns
-    params, cloud, kmc, users = _load_store(store, CloudNode.open_store)
+    params, cloud, kmc, users = _load_store(store)
     uid, ak = next(iter(users.items()))
     if args.top_h < 1:
         print(f"--top-h must be >= 1, not {args.top_h}", file=sys.stderr)
@@ -196,7 +192,7 @@ def cmd_bench(args) -> int:
 
 def cmd_update(args) -> int:
     store = Path(args.store)
-    params, cloud, kmc, _ = _load_store(store, CloudNode.load_store)
+    params, cloud, kmc, _ = _load_store(store)
     seed = args.seed.encode()
     sk = kmc.owner_key(args.owner)
 
@@ -205,11 +201,11 @@ def cmd_update(args) -> int:
                   for path in sorted(Path(args.add).glob("*.pgm"))]
         items, _ = encrypt_uploads(params, sk, images, seed, "add:")
         cloud.apply_update(args.owner, AddImages(tuple(items)))
-        print(f"added {len(items)} images to {args.owner}")
+        done = f"added {len(items)} images to {args.owner}"
     elif args.delete:
         ids = tuple(args.delete.split(","))
         cloud.apply_update(args.owner, DeleteImages(ids))
-        print(f"deleted {len(ids)} images from {args.owner}")
+        done = f"deleted {len(ids)} images from {args.owner}"
     else:
         ids = tuple(args.reencrypt.split(","))
         record = cloud.owner_record(args.owner)
@@ -221,10 +217,11 @@ def cmd_update(args) -> int:
         items, _ = encrypt_uploads(params, sk, images, seed, f"reenc:{ordinal}:")
         # UpdateImages refuses a replacement whose sums differ from its row
         cloud.apply_update(args.owner, UpdateImages(tuple(items)))
-        print(f"re-encrypted {len(ids)} features for {args.owner}; "
-              "index rows unchanged: True")
+        done = f"re-encrypted {len(ids)} features for {args.owner}; index rows unchanged: True"
 
+    # saving reads every image kept, so a malformed file is refused before any write
     cloud.save_store(store / "cloud")
+    print(done)
     return 0
 
 
@@ -298,7 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CloudError, VaultError, ValueError, OSError) as exc:  # the program's refusals
+        # a VaultError is a KeyError, whose str() quotes its message
+        print(exc.args[0] if isinstance(exc, VaultError) else exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,22 +10,25 @@ nothing entrywise).  Queries are ranked over index rows by
 re-aggregated from every stored ciphertext instead; it is the reference
 the index path is checked and timed against.
 
-A cloud holds one feature dimension, set by the first feature it accepts;
-every feature and query that comes in later must match it.  Each image's
-index row lives in its ``StoredImage`` next to the ciphertexts it was
-recovered from, so there is no second table to keep in step.  One lock
+Every feature and query the cloud takes is an edge histogram, of
+``ehd_features.FEATURE_DIMS`` entries; one check refuses any other length,
+the first feature into an empty cloud included.  Each image's index row
+lives in its ``StoredImage`` next to the ciphertexts it was recovered
+from, so there is no second table to keep in step.  One lock
 serves readers and writers: queries, ``verify_user`` and ``index`` read
 under it, registration and updates hold it while they stage and then store
 the records, so no retrieval ever observes a half-applied update.
 
 On disk a cloud is ``index.tsv`` plus ``owners/<id>/`` with a manifest,
-``img/<image>.pgm`` and ``feat/<image>.eft``.  ``open_store`` reads only
-the index, the manifests, the ``img/`` and ``feat/`` listings and the first
-stored feature, which fixes the dimension; each image then reads its pixels
-and its feature the first time they are used, under the lock, so a query
-reads the h images it returns.  ``load_store`` is ``open_store`` followed by
-reading every image, so it refuses a malformed ``.eft`` that a query never
-reads.  ``save_store`` reads every record before it rewrites ``owners/``.
+``img/<image>.pgm`` and ``feat/<image>.eft``; ``index.tsv`` and each
+manifest are a header line and then records, read by ``read_framed``.
+``open_store`` reads only the index, the manifests and the ``img/`` and
+``feat/`` listings; each image then reads its pixels and its feature the
+first time they are used, under the lock, so a query reads the h images it
+returns and no ``.eft``.  ``load_store`` is ``open_store`` followed by
+reading every image.  ``save_store`` reads every record before it rewrites
+``owners/``, so a store that was opened refuses a malformed file there,
+naming it, before anything is written.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import feature_crypto
+from .ehd_features import FEATURE_DIMS
 from .feature_crypto import EncryptedFeature
 from .group_crypto import GroupParams
 from .image_cipher import read_pgm, write_pgm
@@ -95,9 +99,8 @@ class StoredImage:
     An image of a store opened by ``CloudNode.open_store`` may start
     without its pixels or its feature, and then reads each from the store
     the first time it is used, under its cloud's lock.  Its ``source`` is
-    that lock, its owner's directory and the cloud's feature dimension; it
-    holds no reference to the cloud, so a cloud that is dropped is freed at
-    once.
+    that lock and its owner's directory; it holds no reference to the cloud,
+    so a cloud that is dropped is freed at once.
     """
 
     __slots__ = ("row", "_enc_image", "_feature", "_source")
@@ -112,7 +115,7 @@ class StoredImage:
     @property
     def enc_image(self) -> np.ndarray:
         if self._enc_image is None:
-            lock, base, _ = self._source
+            lock, base = self._source
             with lock:
                 if self._enc_image is None:
                     self._enc_image = read_pgm(base / "img" / f"{self.row.image_id}.pgm")[0]
@@ -121,10 +124,10 @@ class StoredImage:
     @property
     def feature(self) -> EncryptedFeature:
         if self._feature is None:
-            lock, base, dims = self._source
+            lock, base = self._source
             with lock:
                 if self._feature is None:
-                    self._feature = _read_feature(base / "feat" / f"{self.row.image_id}.eft", dims)
+                    self._feature = _read_feature(base / "feat" / f"{self.row.image_id}.eft")
         return self._feature
 
 
@@ -192,6 +195,14 @@ def credential_line(key_id: str, key: bytes) -> str:
     return f"{key_id}\t{key.hex()}"
 
 
+def read_framed(path: str | Path, header: str) -> list[str]:
+    """The lines of store file ``path`` after its first, which must be ``header``."""
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: missing or malformed header")
+    return lines[1:]
+
+
 def read_credentials(path: Path, lines: Sequence[str], first: int, noun: str) -> dict[str, bytes]:
     """The key of each ``noun`` id in ``lines``, lines ``first``... of
     ``path``: each a ``credential_line``, and no id twice."""
@@ -224,7 +235,6 @@ class CloudNode:
     def __init__(self, params: GroupParams):
         self.params = params
         self._owners: dict[str, OwnerRecord] = {}
-        self._dims: int | None = None
         self._lock = threading.RLock()
 
     @property
@@ -283,11 +293,7 @@ class CloudNode:
             authorized = self.verify_user(q.uid, q.ak)
             if not authorized:
                 raise AuthorizationError(f"user {q.uid!r} matches no owner's list")
-            _dims_of(self._dims, [q.eq])
-            qs1, qs2 = feature_crypto.recover_sums(self.params, q.eq)
-            query = SumPair(s1=qs1, s2=qs2, l=q.eq.dims)
-            if not query.is_consistent():
-                raise CorruptedSumsError(f"query sums of user {q.uid!r} violate Cauchy-Schwarz")
+            query = self._sums(q.eq, f"query sums of user {q.uid!r}")
             stored = (s for oid in authorized for s in self._owners[oid].images.values())
             rows = (
                 s.row if use_index else self._make_row(s.row.owner_id, s.row.image_id, s.feature)
@@ -334,27 +340,29 @@ class CloudNode:
         _require_distinct(record.owner_id, (image_id for image_id, _, _ in items))
         staged = self._stage(record.owner_id, items)
         record.images.update(staged)
-        self._dims = _dims_of(self._dims, (stored.feature for stored in staged.values()))
         return len(staged)
 
     def _stage(self, owner_id: str, items: Sequence[tuple]) -> dict[str, StoredImage]:
         """``items``, whose ids are distinct, as stored images with their
         recovered rows; stores nothing."""
-        _dims_of(self._dims, (feature for _, _, feature in items))
         return {
             image_id: StoredImage(enc_image, feature, self._make_row(owner_id, image_id, feature))
             for image_id, enc_image, feature in items
         }
 
-    def _make_row(
-        self, owner_id: str, image_id: str, feature: EncryptedFeature
-    ) -> IndexEntry:
+    def _make_row(self, owner_id: str, image_id: str, feature: EncryptedFeature) -> IndexEntry:
+        sums = self._sums(feature, f"sums for {owner_id}/{image_id}")
+        return IndexEntry(owner_id, image_id, sums.s1, sums.s2)
+
+    def _sums(self, feature: EncryptedFeature, what: str) -> SumPair:
+        """The recovered sums of ``feature``, an edge histogram's, which must
+        satisfy Cauchy-Schwarz; ``what`` names them in a refusal."""
+        _require_ehd_length(feature)
         s1, s2 = feature_crypto.recover_sums(self.params, feature)
-        if not SumPair(s1=s1, s2=s2, l=feature.dims).is_consistent():
-            raise CorruptedSumsError(
-                f"sums for {owner_id}/{image_id} violate Cauchy-Schwarz"
-            )
-        return IndexEntry(owner_id, image_id, s1, s2)
+        sums = SumPair(s1=s1, s2=s2, l=feature.dims)
+        if not sums.is_consistent():
+            raise CorruptedSumsError(f"{what} violate Cauchy-Schwarz")
+        return sums
 
     def index_table(self) -> str:
         """The retrieval index as the text of ``index.tsv``."""
@@ -401,19 +409,16 @@ class CloudNode:
 
     @classmethod
     def open_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
-        """Open a store reading only ``index.tsv``, each manifest, the
-        ``img/`` and ``feat/`` listings and the first stored feature, which
-        sets the cloud's dimension.  Every other image reads its pixels and
-        feature on first use.  Each image must have exactly one ``index.tsv``
-        row and a ``.eft`` file."""
+        """Open a store reading only ``index.tsv``, each manifest and the
+        ``img/`` and ``feat/`` listings; no ``.eft`` and no ``.pgm``.  Each
+        image reads its pixels and feature on first use, and ``save_store``
+        reads them all before it writes.  Each image must have exactly one
+        ``index.tsv`` row and a ``.eft`` file."""
         root = Path(root)
         node = cls(params)
         index_path = root / "index.tsv"
-        index_lines = index_path.read_text().strip().splitlines()
-        if not index_lines or index_lines[0] != INDEX_HEADER:
-            raise ValueError(f"{index_path}: missing or malformed header")
         rows: dict[tuple[str, str], IndexEntry] = {}
-        for number, ln in enumerate(index_lines[1:], 2):
+        for number, ln in enumerate(read_framed(index_path, INDEX_HEADER), 2):
             try:
                 owner_id, image_id, s1, s2 = ln.split("\t")
                 row = IndexEntry(owner_id, image_id, int(s1), int(s2))
@@ -426,14 +431,12 @@ class CloudNode:
         owners_dir = root / "owners"
         for name in sorted(_listing(owners_dir)):
             base = owners_dir / name
-            manifest = (base / "manifest").read_text().strip().splitlines()
-            if len(manifest) < 2 or manifest[0] != MANIFEST_HEADER:
-                raise ValueError(f"{base}: malformed manifest")
-            owner_id = manifest[1]
+            manifest = read_framed(base / "manifest", MANIFEST_HEADER)
+            owner_id = manifest[0] if manifest else ""
             _check_id(owner_id, "owner id")
             if owner_id != name:
                 raise ValueError(f"{base}/manifest: owner id {owner_id!r} is not {name!r}")
-            aul = read_credentials(base / "manifest", manifest[2:], 3, "user")
+            aul = read_credentials(base / "manifest", manifest[1:], 3, "user")
             record = OwnerRecord(owner_id=owner_id, aul=frozenset(aul.items()))
             features = set(_listing(base / "feat"))
             pgms = (n.removesuffix(".pgm") for n in _listing(base / "img") if n.endswith(".pgm"))
@@ -444,12 +447,7 @@ class CloudNode:
                 row = rows.pop((owner_id, image_id), None)
                 if row is None:
                     raise CloudError(f"image {owner_id}/{image_id} has no index row")
-                feature = None
-                if node._dims is None:  # the first stored feature fixes the dimension
-                    feature = _read_feature(base / "feat" / f"{image_id}.eft", None)
-                    node._dims = feature.dims
-                source = (node._lock, base, node._dims)
-                record.images[image_id] = StoredImage(None, feature, row, source)
+                record.images[image_id] = StoredImage(None, None, row, (node._lock, base))
             node._owners[owner_id] = record
         if rows:
             raise CloudError("index row {}/{} has no image".format(*min(rows)))
@@ -457,7 +455,8 @@ class CloudNode:
 
     @classmethod
     def load_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
-        """``open_store``, then read every image's pixels and feature."""
+        """``open_store``, then read every image's pixels and feature; no
+        command uses it, since ``save_store`` reads every image it keeps."""
         node = cls.open_store(root, params)
         for record in node._owners.values():
             for image_id, stored in record.images.items():
@@ -465,21 +464,18 @@ class CloudNode:
         return node
 
 
-def _dims_of(dims: int | None, features: Iterable[EncryptedFeature]) -> int | None:
-    """A cloud's dimension, ``dims`` until set, once ``features`` are
-    accepted; checks them."""
-    for feature in features:
-        dims = dims or feature.dims
-        if feature.dims != dims:
-            raise ValueError(f"feature dimension {feature.dims}, the cloud holds {dims}")
-    return dims
+def _require_ehd_length(feature: EncryptedFeature) -> None:
+    """Refuse a feature that is not an edge histogram, ``FEATURE_DIMS`` long."""
+    if feature.dims != FEATURE_DIMS:
+        raise ValueError(f"feature dimension {feature.dims}, not the edge histogram's "
+                         f"{FEATURE_DIMS}")
 
 
-def _read_feature(eft: Path, dims: int | None) -> EncryptedFeature:
-    """The feature in ``eft``, checked against a cloud's dimension ``dims``."""
+def _read_feature(eft: Path) -> EncryptedFeature:
+    """The feature in ``eft``, an edge histogram's."""
     try:
         feature = feature_crypto.feature_from_text(eft.read_text())
-        _dims_of(dims, [feature])
+        _require_ehd_length(feature)
     except ValueError as exc:
         raise ValueError(f"{eft}: {exc}") from None
     return feature

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cloud_node import credential_line, read_credentials
+from .cloud_node import credential_line, read_credentials, read_framed
 from .image_cipher import image_dec, image_enc
 
 VAULT_HEADER = "MIPP-VAULT-1"
@@ -128,9 +128,6 @@ class KmcNode:
 
     @classmethod
     def load_vault(cls, path: str | Path) -> "KmcNode":
-        lines = Path(path).read_text().strip().splitlines()
-        if not lines or lines[0] != VAULT_HEADER:
-            raise ValueError(f"{path}: missing {VAULT_HEADER} header")
         node = cls()
-        node._owner_keys = read_credentials(path, lines[1:], 2, "owner")
+        node._owner_keys = read_credentials(path, read_framed(path, VAULT_HEADER), 2, "owner")
         return node

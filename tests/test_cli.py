@@ -4,9 +4,9 @@ import shutil
 import numpy as np
 import pytest
 
-from mipp import cloud_node
+from mipp import cloud_node, feature_crypto
 from mipp.cli import main
-from mipp.cloud_node import DuplicateImageError, OwnershipError
+from mipp.cloud_node import CloudNode, DeleteImages
 from mipp.ehd_features import extract_ehd
 from mipp.evaluation import SynthSpec, load_corpus, synth_corpus, write_corpus
 from mipp.group_crypto import load_params
@@ -149,34 +149,107 @@ def test_bench_output(tmp_path):
     assert "enc_with_index" in text and "storage" in text
 
 
-def test_users_line_without_tab_names_the_file(store_dir, tmp_path):
+def _tree(store):
+    """Every file of ``store`` but its session counter, with its bytes."""
+    return {p: p.read_bytes() for p in store.rglob("*")
+            if p.is_file() and p.name != "session.counter"}
+
+
+def refusal(argv, store, capsys) -> str:
+    """The one line ``main`` prints on stderr for ``argv`` on ``store``; it
+    must exit 1, print nothing on stdout and change no byte of the store
+    but its session counter."""
+    before = _tree(store)
+    capsys.readouterr()
+    assert main(argv + ["--store", str(store)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    assert _tree(store) == before
+    return captured.err[:-1]
+
+
+def _first_image(store, owner_id):
+    return sorted((store / "cloud" / "owners" / owner_id / "img").glob("*.pgm"))[0].stem
+
+
+def test_users_line_without_tab_names_the_file(store_dir, tmp_path, capsys):
     store = tmp_path / "store"
     shutil.copytree(store_dir, store)
     users = store / "users.tsv"
     users.write_text(users.read_text() + "user-2\n")
-    with pytest.raises(ValueError, match="users.tsv: line 3 has no tab"):
-        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])
+    err = refusal(["update", "--owner", "owner-1", "--delete", "x"], store, capsys)
+    assert err == f"{users}: line 3 has no tab"
 
 
-def test_reencrypt_of_an_image_the_owner_lacks_changes_nothing(store_dir, tmp_path):
+def _refused_before_the_session_counter(store_dir, tmp_path, capsys, owner, option, ids,
+                                        message):
     store = tmp_path / "store"
     shutil.copytree(store_dir, store)
-    before = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
-    with pytest.raises(OwnershipError, match="owner-1 does not own 'nope'"):
-        main(["update", "--store", str(store), "--owner", "owner-1",
-              "--reencrypt", "nope", "--seed", "u4"])
-    assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == before
+    (store / "session.counter").write_text("5")
+    image = _first_image(store, "owner-1")
+    err = refusal(["update", "--owner", owner, option, ids.format(image=image),
+                   "--seed", "u4"], store, capsys)
+    assert err == message.format(image=image)
+    assert (store / "session.counter").read_text() == "5"
 
 
-def test_repeated_reencrypt_id_refused_before_the_session_counter(store_dir, tmp_path):
-    store = tmp_path / "store"
+@pytest.mark.parametrize("owner, ids, message", [
+    ("owner-9", "{image}", "no key stored for owner 'owner-9'"),
+    ("owner-1", "nope", "owner-1 does not own 'nope'"),
+    ("owner-1", "{image},{image}", "owner-1/{image}"),
+], ids=["unknown-owner", "lacked-id", "repeated-id"])
+def test_refused_delete_exits_1_and_changes_nothing(
+    store_dir, tmp_path, capsys, owner, ids, message
+):
+    _refused_before_the_session_counter(store_dir, tmp_path, capsys, owner, "--delete", ids,
+                                        message)
+
+
+def test_reencrypt_of_an_image_the_owner_lacks_changes_nothing(store_dir, tmp_path, capsys):
+    _refused_before_the_session_counter(store_dir, tmp_path, capsys, "owner-1", "--reencrypt",
+                                        "nope", "owner-1 does not own 'nope'")
+
+
+def test_repeated_reencrypt_id_refused_before_the_session_counter(store_dir, tmp_path, capsys):
+    _refused_before_the_session_counter(store_dir, tmp_path, capsys, "owner-1", "--reencrypt",
+                                        "{image},{image}", "owner-1/{image}")
+
+
+@pytest.mark.parametrize("name, make, message", [
+    ("text.pgm", lambda path: path.write_text("P2 not binary\n"),
+     "{path}: not a binary PGM (P5) file"),
+    ("tiny.pgm", lambda path: write_pgm(path, np.zeros((4, 4), dtype=np.uint8)),
+     "4x4 image too small for a 4x4 grid of 2x2 blocks"),
+    # the owners' keystreams cover the largest ingested image, 64x64
+    ("wide.pgm", lambda path: write_pgm(path, np.zeros((64, 65), dtype=np.uint8)),
+     "keystream of 4096 bytes < 64x65 image"),
+], ids=["not-a-pgm", "too-small", "beyond-the-keystream"])
+def test_an_add_file_the_owner_cannot_store_exits_1(
+    store_dir, tmp_path, capsys, name, make, message
+):
+    store, added = tmp_path / "store", tmp_path / "added"
     shutil.copytree(store_dir, store)
-    image_id = sorted((store / "cloud" / "owners" / "owner-1" / "img").glob("*.pgm"))[0].stem
-    before = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
-    with pytest.raises(DuplicateImageError, match=f"owner-1/{image_id}"):
-        main(["update", "--store", str(store), "--owner", "owner-1",
-              "--reencrypt", f"{image_id},{image_id}", "--seed", "u5"])
-    assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == before
+    added.mkdir()
+    write_pgm(added / "fine.pgm", np.full((64, 64), 9, dtype=np.uint8))
+    make(added / name)
+    err = refusal(["update", "--owner", "owner-1", "--add", str(added)], store, capsys)
+    assert err == message.format(path=added / name)
+
+
+def test_lazy_delete_saves_what_an_eager_load_saves(store_dir, tmp_path, capsys):
+    lazy, eager = tmp_path / "lazy", tmp_path / "eager"
+    shutil.copytree(store_dir, lazy)
+    shutil.copytree(store_dir, eager)
+    image_id = _first_image(lazy, "owner-2")
+    assert main(["update", "--store", str(lazy), "--owner", "owner-2",
+                 "--delete", image_id]) == 0
+    cloud = CloudNode.load_store(eager / "cloud", load_params(eager / "params.txt"))
+    cloud.apply_update("owner-2", DeleteImages((image_id,)))
+    cloud.save_store(eager / "cloud")
+    assert f"owner-2\t{image_id}\t" not in (lazy / "cloud" / "index.tsv").read_text()
+    assert {p.relative_to(lazy): b for p, b in _tree(lazy).items()} == {
+        p.relative_to(eager): b for p, b in _tree(eager).items()}
 
 
 @pytest.mark.parametrize("path, line", [
@@ -184,7 +257,7 @@ def test_repeated_reencrypt_id_refused_before_the_session_counter(store_dir, tmp
     ("users.tsv", 2),
     ("cloud/owners/owner-1/manifest", 3),
 ], ids=["vault", "users", "manifest"])
-def test_bad_hex_field_names_the_file_and_line(store_dir, tmp_path, path, line):
+def test_bad_hex_field_names_the_file_and_line(store_dir, tmp_path, capsys, path, line):
     store = tmp_path / "store"
     shutil.copytree(store_dir, store)
     target = store / path
@@ -192,28 +265,28 @@ def test_bad_hex_field_names_the_file_and_line(store_dir, tmp_path, path, line):
     key, hex_field = lines[line - 1].split("\t")
     lines[line - 1] = f"{key}\tzz{hex_field[2:]}"
     target.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"{path}: line {line} has a malformed hex field"):
-        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])
+    err = refusal(["update", "--owner", "owner-1", "--delete", "x"], store, capsys)
+    assert err == f"{target}: line {line} has a malformed hex field"
 
 
-def test_users_file_without_users_names_the_file(store_dir, corpus_dir, tmp_path):
+def test_users_file_without_users_names_the_file(store_dir, corpus_dir, tmp_path, capsys):
     store = tmp_path / "store"
     shutil.copytree(store_dir, store)
     users = store / "users.tsv"
     users.write_text(users.read_text().splitlines()[0] + "\n")
     query_image = sorted((corpus_dir / "cat00").glob("*.pgm"))[0]
-    with pytest.raises(ValueError, match="users.tsv lists no user"):
-        main(["query", "--store", str(store), "--image", str(query_image)])
+    err = refusal(["query", "--image", str(query_image)], store, capsys)
+    assert err == f"{users} lists no user"
 
 
-def test_users_file_repeating_a_user_names_the_file_and_line(store_dir, tmp_path):
+def test_users_file_repeating_a_user_names_the_file_and_line(store_dir, tmp_path, capsys):
     store = tmp_path / "store"
     shutil.copytree(store_dir, store)
     users = store / "users.tsv"
     lines = users.read_text().splitlines()
     users.write_text("\n".join(lines + [lines[1]]) + "\n")
-    with pytest.raises(ValueError, match="users.tsv: line 3 repeats user 'user-1'"):
-        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])
+    err = refusal(["update", "--owner", "owner-1", "--delete", "x"], store, capsys)
+    assert err == f"{users}: line 3 repeats user 'user-1'"
 
 
 def test_query_by_a_user_no_owner_authorizes_exits_1(store_dir, corpus_dir, tmp_path, capsys):
@@ -292,18 +365,23 @@ def test_query_input_errors_exit_1_before_the_session_counter(
     assert (store / "session.counter").read_text() == "5"
 
 
-def test_a_malformed_store_file_is_named_in_its_error(store_dir, tmp_path):
+def test_a_malformed_store_file_is_named_in_its_error(store_dir, tmp_path, capsys):
     store = tmp_path / "store"
     shutil.copytree(store_dir, store)
+    # the update keeps owner-2's images, so saving the store reads this one
     eft = sorted((store / "cloud" / "owners" / "owner-2" / "feat").glob("*.eft"))[3]
     eft.write_text(eft.read_text().splitlines()[0] + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(eft))}: expected MIPP-EFT-1 header"):
-        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])
+    update = ["update", "--owner", "owner-1", "--delete", _first_image(store, "owner-1")]
+    assert refusal(update, store, capsys).startswith(f"{eft}: expected MIPP-EFT-1 header")
+
+    pgm = store / "cloud" / "owners" / "owner-2" / "img" / f"{eft.stem}.pgm"
+    eft.write_text((store_dir / eft.relative_to(store)).read_text())
+    pgm.write_bytes(b"P5\n")
+    assert refusal(update, store, capsys) == f"{pgm}: truncated PGM header"
 
     params = store / "params.txt"
     params.write_text("MIPP-PARAMS-0\n" + params.read_text().split("\n", 1)[1])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(params))}: missing MIPP-PARAMS-1"):
-        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])
+    assert refusal(update, store, capsys).startswith(f"{params}: missing MIPP-PARAMS-1")
 
 
 def test_query_of_a_store_without_owners_is_authorized_by_no_owner(
@@ -320,8 +398,9 @@ def test_query_of_a_store_without_owners_is_authorized_by_no_owner(
     assert capsys.readouterr().err == "user 'user-1' is authorized by no owner\n"
 
 
-@pytest.mark.parametrize("path", ["vault", "users.tsv", "cloud/index.tsv"])
-def test_a_bad_header_names_the_file(store_dir, corpus_dir, tmp_path, path):
+@pytest.mark.parametrize("path", ["vault", "users.tsv", "cloud/index.tsv",
+                                  "cloud/owners/owner-2/manifest"])
+def test_a_bad_header_names_the_file(store_dir, corpus_dir, tmp_path, capsys, path):
     store = tmp_path / "store"
     shutil.copytree(store_dir, store)
     target = store / path
@@ -329,8 +408,7 @@ def test_a_bad_header_names_the_file(store_dir, corpus_dir, tmp_path, path):
     query_image = sorted((corpus_dir / "cat00").glob("*.pgm"))[0]
     for argv in (["query", "--image", str(query_image)],
                  ["update", "--owner", "owner-1", "--delete", "x"]):
-        with pytest.raises(ValueError, match=f"^{re.escape(str(target))}: "):
-            main(argv + ["--store", str(store)])
+        assert refusal(argv, store, capsys) == f"{target}: missing or malformed header"
 
 
 def test_query_reads_only_the_images_it_returns(
@@ -346,18 +424,19 @@ def test_query_reads_only_the_images_it_returns(
     want = capsys.readouterr().out
     returned = {tuple(ln.split("\t")[1:3]) for ln in want.splitlines()[1:]}
     assert len(returned) == 5
-    # owner-1's first image gives the cloud its feature dimension, so take
-    # another owner's image that the query does not return
-    feat = store / "cloud" / "owners" / "owner-2" / "feat"
-    eft = next(p for p in sorted(feat.glob("*.eft")) if ("owner-2", p.stem) not in returned)
+    feat = store / "cloud" / "owners" / "owner-1" / "feat"
+    eft = next(p for p in sorted(feat.glob("*.eft")) if ("owner-1", p.stem) not in returned)
     eft.write_text(eft.read_text().splitlines()[0] + "\n")
 
-    pgm_reads = []
-    read_pgm = cloud_node.read_pgm
+    pgm_reads, eft_parses = [], []
+    read_pgm, feature_from_text = cloud_node.read_pgm, feature_crypto.feature_from_text
     monkeypatch.setattr(cloud_node, "read_pgm",
                         lambda path: pgm_reads.append(path) or read_pgm(path))
+    monkeypatch.setattr(feature_crypto, "feature_from_text",
+                        lambda text: eft_parses.append(text) or feature_from_text(text))
     assert main(argv + ["--store", str(store)]) == 0
     assert capsys.readouterr().out == want
-    assert len(pgm_reads) == 5
-    with pytest.raises(ValueError, match=f"^{re.escape(str(eft))}: expected MIPP-EFT-1 header"):
-        main(["update", "--store", str(store), "--owner", "owner-1", "--delete", "x"])
+    assert len(pgm_reads) == 5 and eft_parses == []
+    # an update that keeps the image reads its feature when it saves the store
+    update = ["update", "--owner", "owner-2", "--delete", _first_image(store, "owner-2")]
+    assert refusal(update, store, capsys).startswith(f"{eft}: expected MIPP-EFT-1 header")

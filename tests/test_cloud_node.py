@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipp import cloud_node, feature_crypto
+from mipp.ehd_features import FEATURE_DIMS
 from mipp.cloud_node import (
     AddImages,
     AuthorizationError,
@@ -36,8 +37,17 @@ def enc_img(seed, shape=(8, 8)):
     return np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
 
 
+def padded(vector):
+    """``vector`` with zeros appended to an edge histogram's length; its sums
+    do not change."""
+    return list(vector) + [0] * (FEATURE_DIMS - len(vector))
+
+
 def upload(vector, seed):
-    return encrypt_feature_pair(PARAMS, vector, seed)
+    return encrypt_feature_pair(PARAMS, padded(vector), seed)
+
+
+FOUR = encrypt_feature_pair(PARAMS, [1, 2, 3, 4], b"four")  # not an edge histogram
 
 
 def make_cloud():
@@ -126,12 +136,24 @@ def test_single_image_corpus_always_returned():
 
 
 def test_exact_match_ranks_first():
-    cloud = make_cloud()
-    f = [2, 3, 4]
-    results = cloud.retrieve_top_h(query(f, h=6))
+    # make_cloud's vectors repeated over all 80 entries: zero padding would
+    # let the sum-based distance favour the all-zero vector
+    def spread(vector):
+        return [int(v) for v in np.resize(vector, FEATURE_DIMS)]
+
+    vectors = {"img-a": [2, 3, 4], "img-b": [10, 0, 0], "img-c": [200, 200, 200],
+               "img-d": [5, 5, 5], "img-e": [0, 0, 0], "img-f": [7, 8, 9]}
+    cloud = CloudNode(PARAMS)
+    cloud.register_owner("owner-1", aul=[("alice", AK1)], images=[
+        (image_id, enc_img(k), encrypt_feature_pair(PARAMS, spread(v), image_id))
+        for k, (image_id, v) in enumerate(vectors.items())
+    ])
+    f = spread([2, 3, 4])
+    results = cloud.retrieve_top_h(
+        QueryEnvelope(eq=encrypt_feature_pair(PARAMS, f, b"q"), uid="alice", ak=AK1, h=6))
     # oracle: distance of f to itself under the sum-based formula
     self_dist = new_dis(f, f)
-    others = [new_dis(f, g) for g in ([10, 0, 0], [200, 200, 200], [5, 5, 5], [0, 0, 0], [7, 8, 9])]
+    others = [new_dis(f, spread(g)) for image_id, g in vectors.items() if image_id != "img-a"]
     assert self_dist < min(others)
     assert (results[0].owner_id, results[0].image_id) == ("owner-1", "img-a")
     assert results[0].distance == pytest.approx(self_dist)
@@ -403,8 +425,8 @@ def test_queries_overlapping_add_and_delete_never_fail():
 
 
 def test_dimension_mismatch_rejected(tmp_path):
-    cloud = make_cloud()  # three-dimensional features
-    four = upload([1, 2, 3, 4], b"four")
+    cloud = make_cloud()
+    four = FOUR
     with pytest.raises(ValueError, match="dimension 4"):
         cloud.retrieve_top_h(QueryEnvelope(eq=four, uid="alice", ak=AK1))
     with pytest.raises(ValueError, match="dimension 4"):
@@ -415,7 +437,7 @@ def test_dimension_mismatch_rejected(tmp_path):
         cloud.apply_update("owner-1", UpdateImages((("img-a", enc_img(1), four),)))
     assert "owner-3" not in cloud.owner_ids
     assert cloud.index == make_cloud().index
-    assert cloud.owner_record("owner-1").images["img-a"].feature.dims == 3
+    assert cloud.owner_record("owner-1").images["img-a"].feature.dims == FEATURE_DIMS
 
     mixed = CloudNode(PARAMS)
     with pytest.raises(ValueError, match="dimension 4"):
@@ -431,19 +453,14 @@ def test_dimension_mismatch_rejected(tmp_path):
         CloudNode.load_store(tmp_path / "store", PARAMS)
 
 
-def test_rejected_registration_leaves_dimension_unset():
+def test_an_empty_cloud_refuses_a_feature_that_is_not_an_edge_histogram():
     cloud = CloudNode(PARAMS)
-    five = upload([1, 2, 3, 4, 5], b"five")
-    with pytest.raises(DuplicateImageError):
-        cloud.register_owner(
-            "o1", aul=[("alice", AK1)],
-            images=[("dup", enc_img(1), five), ("dup", enc_img(2), five)],
-        )
-    cloud.register_owner(
-        "o1", aul=[("alice", AK1)], images=[("a", enc_img(1), upload([1, 2, 3], b"a"))]
-    )
-    results = cloud.retrieve_top_h(query([1, 2, 3]))
-    assert [(r.owner_id, r.image_id) for r in results] == [("o1", "a")]
+    with pytest.raises(ValueError, match="dimension 4, not the edge histogram's 80"):
+        cloud.register_owner("o1", aul=[("alice", AK1)], images=[("a", enc_img(1), FOUR)])
+    assert cloud.owner_ids == ()
+    cloud.register_owner("o1", aul=[("alice", AK1)], images=[])
+    with pytest.raises(ValueError, match="dimension 4, not the edge histogram's 80"):
+        cloud.retrieve_top_h(QueryEnvelope(eq=FOUR, uid="alice", ak=AK1))
 
 
 _SMALL_VECTORS = st.lists(st.integers(0, 3), min_size=3, max_size=3)
@@ -462,7 +479,7 @@ _SMALL_VECTORS = st.lists(st.integers(0, 3), min_size=3, max_size=3)
 def test_both_paths_return_the_h_smallest_rank_keys(owners, query_vector, data):
     # entries in 0..3 give sums in 0..9 and 0..27, so keys tie often
     keys = {"alice": AK1, "bob": AK2}
-    q = SumPair.from_vector(query_vector)
+    q = SumPair.from_vector(padded(query_vector))
     cloud = CloudNode(PARAMS)
     expected = []
     for o, (users, vectors) in enumerate(owners):
@@ -473,7 +490,7 @@ def test_both_paths_return_the_h_smallest_rank_keys(owners, query_vector, data):
                     for k, v in enumerate(vectors)],
         )
         if "alice" in users:
-            expected += [(rank_key(q, SumPair.from_vector(v)), owner_id, f"i{k}")
+            expected += [(rank_key(q, SumPair.from_vector(padded(v))), owner_id, f"i{k}")
                          for k, v in enumerate(vectors)]
     h = data.draw(st.integers(1, len(expected) + 2))
     envelope = query(query_vector, h=h)
@@ -485,7 +502,7 @@ def test_both_paths_return_the_h_smallest_rank_keys(owners, query_vector, data):
         got = cloud.retrieve_top_h(envelope, use_index=use_index)
         want = sorted(expected)[:h]
         assert [(r.owner_id, r.image_id) for r in got] == [(o, i) for _, o, i in want]
-        assert [r.distance for r in got] == [math.sqrt(k / 3) for k, _, _ in want]
+        assert [r.distance for r in got] == [math.sqrt(k / FEATURE_DIMS) for k, _, _ in want]
 
 
 def test_malformed_index_row_names_the_file_and_line(tmp_path):
@@ -566,9 +583,8 @@ def test_open_store_answers_as_load_store_does(tmp_path):
     opened = CloudNode.open_store(tmp_path / "store", PARAMS)
     assert opened.index == loaded.index
     assert opened.owner_ids == loaded.owner_ids
-    # open_store reads the first stored feature, which fixes the dimension
     with pytest.raises(ValueError, match="dimension 4"):
-        CloudNode.open_store(tmp_path / "store", PARAMS).retrieve_top_h(query([1, 2, 3, 4]))
+        opened.retrieve_top_h(QueryEnvelope(eq=FOUR, uid="alice", ak=AK1))
     for use_index in (True, False):
         for vector, h in (([2, 3, 4], 6), ([0, 0, 0], 2), ([200, 200, 200], 1)):
             # a fresh store each time, so the ranking makes the first reads
@@ -600,7 +616,7 @@ def _drop_line(prefix):
     ("index.tsv", lambda text: "owner\timage\n" + text.split("\n", 1)[1], ValueError,
      "{path}: missing or malformed header"),
     ("owners/owner-1/manifest", lambda text: "MIPP-OWNER-0" + text[len("MIPP-OWNER-1"):],
-     ValueError, "owner-1: malformed manifest"),
+     ValueError, "{path}: missing or malformed header"),
     ("owners/owner-1/manifest", lambda text: text + "alice\n", ValueError,
      "{path}: line 4 has no tab"),
     ("owners/owner-1/manifest", lambda text: text + f"alice\t{bytes(32).hex()}\n", ValueError,
@@ -647,7 +663,7 @@ def test_concurrent_reads_of_an_opened_store_read_each_image_once(tmp_path, monk
         images = {}
         for owner_id in cloud.owner_ids:
             for image_id, stored in cloud.owner_record(owner_id).images.items():
-                if stored.feature.dims != 3:
+                if stored.feature.dims != FEATURE_DIMS:
                     raise AssertionError(f"{owner_id}/{image_id}: dimension {stored.feature.dims}")
                 images[owner_id, image_id] = stored.enc_image
         return images
@@ -680,8 +696,7 @@ def test_concurrent_reads_of_an_opened_store_read_each_image_once(tmp_path, monk
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
             assert errors == [] and len(results) == 8
-            # open_store read the first feature, to fix the cloud's dimension
-            assert len(pgms) == 6 and len(efts) == 5
+            assert len(pgms) == 6 and len(efts) == 6
             for got in results[1:]:
                 assert got.keys() == results[0].keys()
                 assert all(got[key] is image for key, image in results[0].items())

@@ -35,6 +35,7 @@ from mipp.cloud_node import (
     UnknownOwnerError,
     UpdateImages,
 )
+from mipp.ehd_features import FEATURE_DIMS
 from mipp.feature_crypto import encrypt_feature_pair
 from mipp.group_crypto import gen_group_params
 from mipp.image_cipher import image_dec, image_enc, keygen
@@ -42,7 +43,7 @@ from mipp.kmc_node import KeyReuseError, KmcNode, VaultError
 from mipp.similarity import SumPair, rank_key
 
 PARAMS = gen_group_params(32, b"model-tests")
-DIMS = 4
+DRAWN = 4  # entries drawn per feature; the rest of its FEATURE_DIMS are zero
 KEY_LEN = 16
 OWNERS = ("o1", "o2", "o3", "o4")
 IMAGE_IDS = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -50,9 +51,10 @@ USERS = ("u1", "u2")
 # two access keys per user: a list names one, a query may present either
 KEYS = {(uid, k): bytes([i, k]) * 16 for i, uid in enumerate(USERS) for k in (0, 1)}
 
-# entries in 0..2 over four dimensions make equal rank keys common, so the
-# (owner id, image id) tie order is exercised
-features = st.lists(st.integers(0, 2), min_size=DIMS, max_size=DIMS).map(tuple)
+# entries in 0..2 in four of the dimensions make equal rank keys common, so
+# the (owner id, image id) tie order is exercised
+features = st.lists(st.integers(0, 2), min_size=DRAWN, max_size=DRAWN).map(
+    lambda f: tuple(f) + (0,) * (FEATURE_DIMS - DRAWN))
 images = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1)).map(
     lambda t: np.random.default_rng(t[2]).integers(0, 256, size=t[:2], dtype=np.uint8)
 )
@@ -78,8 +80,6 @@ class CloudModel(RuleBasedStateMachine):
         self.kmc = KmcNode()
         # owner -> (authorized (uid, ak) pairs, image id -> (plain image, feature))
         self.owners: dict[str, tuple[frozenset, dict]] = {}
-        # whether the cloud has fixed its feature dimension
-        self.has_dimension = False
         self.seeds = 0
         self.spent: list[bytes] = []
         # a store opened by open_store reads from here for the rest of the run
@@ -135,7 +135,6 @@ class CloudModel(RuleBasedStateMachine):
         command()
         self.kmc.store_owner_key(owner_id, owner_sk(owner_id))
         self.owners[owner_id] = (frozenset(pairs), {iid: (img, f) for iid, img, f in batch})
-        self.has_dimension |= bool(batch)
 
     @rule(owner_id=st.sampled_from(OWNERS))
     def second_owner_key(self, owner_id):
@@ -158,7 +157,6 @@ class CloudModel(RuleBasedStateMachine):
             return self.refused(DuplicateImageError, command)
         command()
         held.update((iid, (img, f)) for iid, img, f in batch)
-        self.has_dimension = True
 
     @rule(owner_id=st.sampled_from(OWNERS), repeat=st.booleans(), data=st.data())
     def delete(self, owner_id, repeat, data):
@@ -184,7 +182,8 @@ class CloudModel(RuleBasedStateMachine):
         first image's feature, which the cloud must refuse if its sums differ."""
         ids = self.draw_ids(data, owner_id)
         held = self.held(owner_id)
-        batch = [(iid, *held.get(iid, (np.zeros((1, 1), np.uint8), (1,) * DIMS))) for iid in ids]
+        batch = [(iid, *held.get(iid, (np.zeros((1, 1), np.uint8), (1,) * FEATURE_DIMS)))
+                 for iid in ids]
         if other is not None:
             batch[0] = (ids[0], batch[0][1], other)
 
@@ -202,11 +201,11 @@ class CloudModel(RuleBasedStateMachine):
 
     @rule(owner_id=st.sampled_from(OWNERS), credential=credentials)
     def wrong_dimension(self, owner_id, credential):
-        """A feature of another dimension than the cloud's is refused, in an
+        """A feature that is not an edge histogram's length is refused, in an
         upload and in a query."""
-        if not self.has_dimension or owner_id not in self.owners:
+        if owner_id not in self.owners:
             return
-        wide = encrypt_feature_pair(PARAMS, (1,) * (DIMS + 1), self.fresh_seed())
+        wide = encrypt_feature_pair(PARAMS, (1,) * (DRAWN + 1), self.fresh_seed())
         self.refused(ValueError, lambda: self.cloud.apply_update(
             owner_id, AddImages((("new", np.zeros((1, 1), np.uint8), wide),))))
         uid, ak = credential[0], KEYS[credential]
@@ -243,7 +242,8 @@ class CloudModel(RuleBasedStateMachine):
         results = command()
         expected = self.top_h(uid, ak, query, h)
         assert [(r.owner_id, r.image_id) for r in results] == [(o, i) for _, o, i in expected]
-        assert [r.distance for r in results] == [math.sqrt(key / DIMS) for key, _, _ in expected]
+        assert [r.distance for r in results] == [
+            math.sqrt(key / FEATURE_DIMS) for key, _, _ in expected]
         for r in results:
             plain = self.owners[r.owner_id][1][r.image_id][0]
             assert np.array_equal(image_dec(owner_sk(r.owner_id), r.enc_image), plain)
@@ -285,8 +285,6 @@ class CloudModel(RuleBasedStateMachine):
             root = Path(tmp)
             self.cloud.save_store(root / "cloud")
             self.cloud = CloudNode.load_store(root / "cloud", PARAMS)
-            # a loaded cloud takes its dimension from the stored features
-            self.has_dimension = any(held for _, held in self.owners.values())
             if kmc:
                 self.kmc.save_vault(root / "vault")
                 self.kmc = KmcNode.load_vault(root / "vault")
@@ -301,7 +299,6 @@ class CloudModel(RuleBasedStateMachine):
         root = Path(self.store.name) / "cloud"
         self.cloud.save_store(root)
         self.cloud = CloudNode.open_store(root, PARAMS)
-        self.has_dimension = any(held for _, held in self.owners.values())
         self.query(credential, query, h, use_index)
 
     # -- the system equals the model ---------------------------------------------
