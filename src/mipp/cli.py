@@ -197,9 +197,14 @@ def cmd_update(args) -> int:
     sk = kmc.owner_key(args.owner)
 
     if args.add:
-        images = [(path.stem, read_pgm(path)[0])
-                  for path in sorted(Path(args.add).glob("*.pgm"))]
-        items, _ = encrypt_uploads(params, sk, images, seed, "add:")
+        items = []
+        for path in sorted(Path(args.add).glob("*.pgm")):
+            image = read_pgm(path)[0]
+            try:
+                uploads, _ = encrypt_uploads(params, sk, [(path.stem, image)], seed, "add:")
+            except ValueError as exc:  # too small for an EHD, or beyond the owner's key
+                raise ValueError(f"{path}: {exc}") from None
+            items += uploads
         cloud.apply_update(args.owner, AddImages(tuple(items)))
         done = f"added {len(items)} images to {args.owner}"
     elif args.delete:

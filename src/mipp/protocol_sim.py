@@ -137,15 +137,6 @@ def _w_u32(out: bytearray, value: int) -> None:
     out += struct.pack(">I", value)
 
 
-def _w_bigint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError("negative integers not supported on the wire")
-    raw = value.to_bytes((value.bit_length() + 7) // 8, "big") if value else b""
-    if len(raw) > 0xFFFF:
-        raise ValueError("integer field too long")
-    out += struct.pack(">H", len(raw)) + raw
-
-
 def _w_image(out: bytearray, img: np.ndarray) -> None:
     arr = np.asarray(img)
     if arr.ndim != 2 or arr.dtype != np.uint8:
@@ -155,12 +146,18 @@ def _w_image(out: bytearray, img: np.ndarray) -> None:
 
 
 def _w_feature(out: bytearray, f: EncryptedFeature) -> None:
+    """The params id, a u16 dims, then every entry of ef and of eff as a
+    big integer."""
     _w_str(out, f.params_id)
-    out += struct.pack(">H", f.dims)
-    for c in f.ef:
-        _w_bigint(out, c)
-    for c in f.eff:
-        _w_bigint(out, c)
+    parts = [struct.pack(">H", f.dims)]
+    for value in f.ef + f.eff:
+        if value < 0:
+            raise ValueError("negative integers not supported on the wire")
+        n = (value.bit_length() + 7) // 8
+        if n > 0xFFFF:
+            raise ValueError("integer field too long")
+        parts.append(n.to_bytes(2, "big") + value.to_bytes(n, "big"))
+    out += b"".join(parts)
 
 
 class _Reader:
@@ -194,9 +191,6 @@ class _Reader:
     def r_bytes(self) -> bytes:
         return self.take(self.u32())
 
-    def r_bigint(self) -> int:
-        return int.from_bytes(self.take(self.u16()), "big")
-
     def r_image(self) -> np.ndarray:
         m, n = self.u32(), self.u32()
         if m == 0 or n == 0 or m * n > 1 << 30:
@@ -207,9 +201,21 @@ class _Reader:
     def r_feature(self) -> EncryptedFeature:
         params_id = self.r_str()
         dims = self.u16()
-        ef = tuple(self.r_bigint() for _ in range(dims))
-        eff = tuple(self.r_bigint() for _ in range(dims))
-        return EncryptedFeature(ef=ef, eff=eff, params_id=params_id)
+        # 2 * dims big integers, each read as ``take`` would read it
+        data, at, end = self.data, self.offset, len(self.data)
+        values = []
+        for _ in range(2 * dims):
+            if at + 2 > end:
+                raise DecodeError("need 2 bytes", at)
+            n = data[at] << 8 | data[at + 1]
+            at += 2
+            if at + n > end:
+                raise DecodeError(f"need {n} bytes", at)
+            values.append(int.from_bytes(data[at : at + n], "big"))
+            at += n
+        self.offset = at
+        return EncryptedFeature(ef=tuple(values[:dims]), eff=tuple(values[dims:]),
+                                params_id=params_id)
 
 
 def _seq(*fields, sort: bool = False):

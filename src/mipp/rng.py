@@ -58,18 +58,30 @@ class ByteStream:
         value = int.from_bytes(self.take(nbytes), "big")
         return value >> (nbytes * 8 - k)
 
-    def randbelow(self, bound: int) -> int:
-        """Return a uniform integer in [0, bound) by rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        k = bound.bit_length()
-        while True:
-            value = self.randbits(k)
-            if value < bound:
-                return value
-
     def randrange(self, lo: int, hi: int) -> int:
         """Return a uniform integer in [lo, hi)."""
+        return self.randrange_many(lo, hi, 1)[0]
+
+    def randrange_many(self, lo: int, hi: int, count: int) -> list[int]:
+        """Return ``count`` uniform integers in [lo, hi) by rejection sampling.
+
+        Each draw is ``lo + randbits(k)`` with k the bit length of hi - lo,
+        and one that reaches hi is rejected, so the values and the stream
+        position afterwards are those of ``count`` calls of ``randrange``.
+        The draws still missing are taken from the stream in one piece, so
+        only rejected draws cost a further ``take``.
+        """
         if hi <= lo:
             raise ValueError("empty range")
-        return lo + self.randbelow(hi - lo)
+        bound = hi - lo
+        k = bound.bit_length()
+        nbytes = (k + 7) // 8
+        shift = nbytes * 8 - k
+        values: list[int] = []
+        while len(values) < count:
+            data = self.take((count - len(values)) * nbytes)
+            for at in range(0, len(data), nbytes):
+                value = int.from_bytes(data[at : at + nbytes], "big") >> shift
+                if value < bound:
+                    values.append(lo + value)
+        return values

@@ -220,10 +220,10 @@ def test_repeated_reencrypt_id_refused_before_the_session_counter(store_dir, tmp
     ("text.pgm", lambda path: path.write_text("P2 not binary\n"),
      "{path}: not a binary PGM (P5) file"),
     ("tiny.pgm", lambda path: write_pgm(path, np.zeros((4, 4), dtype=np.uint8)),
-     "4x4 image too small for a 4x4 grid of 2x2 blocks"),
+     "{path}: 4x4 image too small for a 4x4 grid of 2x2 blocks"),
     # the owners' keystreams cover the largest ingested image, 64x64
     ("wide.pgm", lambda path: write_pgm(path, np.zeros((64, 65), dtype=np.uint8)),
-     "keystream of 4096 bytes < 64x65 image"),
+     "{path}: keystream of 4096 bytes < 64x65 image"),
 ], ids=["not-a-pgm", "too-small", "beyond-the-keystream"])
 def test_an_add_file_the_owner_cannot_store_exits_1(
     store_dir, tmp_path, capsys, name, make, message

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipp.group_crypto import (
+    WINDOW_BITS,
     DegenerateRingError,
     GroupParams,
     MalformedCiphertextError,
@@ -229,3 +231,51 @@ def test_one_exponentiation_matches_two_exponentiation_formula(
         for i, x in enumerate(xs)
     )
     assert encrypt_vector(params, xs, ring_seed) == expected
+
+
+# q and k of gen_group_params(bits, b"fixed-base-table"), whose p is k*q + 1;
+# fixed so that the large sizes cost no prime search
+_FIXED_PRIMES = {
+    128: (0xabd9e3b545e50e11cbd59ea974e1bb29, 144),
+    256: (0xabd9e3b545e50e11cbd59ea974e1bb2871a490af7987b91625d88a62525cbed5, 376),
+    512: (int("a973ccda03ee1fefd121187e71da834a6d78faea42c62ecfae8b3d8be2043e2e"
+              "8b221a077b1ef1d3044c413d3905af5735dec8bf8c7604eea3b6b80af21069d9", 16), 114),
+    1024: (int("854d965cef9e6952d9850d04c226b68b3803afb79acf93828aea862813281e1a"
+               "8c9bb3f5b8f4171459645618b433156eff206d7870ef28aba90d4a8208a768b4"
+               "ecc298e33774d51a208150fe69475445f30ce303493958072b78160cfb56246e"
+               "7209ff3263881e3269c3cc65a198796f2bd82daf781d7b2ca57da4782b2bd513", 16), 98),
+}
+
+
+@functools.cache
+def _params_of_size(bits):
+    """Params whose q has ``bits`` bits, their text and id taken before the
+    table is built."""
+    if bits in _FIXED_PRIMES:
+        q, k = _FIXED_PRIMES[bits]
+        params = params_from_primes(k * q + 1, q, 2)
+    else:
+        params = gen_group_params(bits, b"fixed-base-table")
+    assert params.q.bit_length() == bits
+    return params, params_to_text(params), params.params_id
+
+
+@settings(max_examples=100, deadline=None)
+@given(bits=st.sampled_from([16, 17, 24, 31, 32, 33, 64, 128, 256, 512, 1024]), data=st.data())
+def test_the_g2_table_gives_pow_for_every_exponent_its_rows_cover(bits, data):
+    params, text, params_id = _params_of_size(bits)
+    table = params.g2_table
+    p2 = params.p_squared
+    rows = -(-params.q.bit_length() // WINDOW_BITS)
+    assert len(table.rows) == rows
+    limit = 1 << (WINDOW_BITS * rows)
+    e = data.draw(st.one_of(st.sampled_from([0, 1, params.q - 1, limit - 1]),
+                            st.integers(0, params.q - 1), st.integers(0, limit - 1)))
+    assert table.pow(e) == pow(params.g2, e, p2)
+    beyond = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=limit)))
+    with pytest.raises(ValueError):
+        table.pow(beyond)
+    # the table is memory only: the record, the id and equality ignore it
+    assert params_to_text(params) == text
+    assert params.params_id == params_id
+    assert params == GroupParams(params.p, params.q, params.g1)

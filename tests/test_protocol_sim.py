@@ -2,9 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipp.cloud_node import QueryEnvelope
-from mipp.feature_crypto import encrypt_feature_pair
+from mipp.feature_crypto import EncryptedFeature, encrypt_feature_pair
 from mipp.group_crypto import gen_group_params
 from mipp.protocol_sim import (
     CloudToKmc,
@@ -150,6 +152,43 @@ def test_fuzz_random_flips_never_panic():
             decode_message(bytes(mutated))
         except DecodeError:
             pass  # graceful rejection is the contract
+
+
+def features():
+    """Features of 3..80 entries, each 0, 1 or any value below p^2."""
+    entry = st.one_of(st.sampled_from([0, 1, PARAMS.p_squared - 1]),
+                      st.integers(0, PARAMS.p_squared - 1))
+    return st.integers(3, 80).flatmap(lambda dims: st.builds(
+        EncryptedFeature,
+        ef=st.lists(entry, min_size=dims, max_size=dims).map(tuple),
+        eff=st.lists(entry, min_size=dims, max_size=dims).map(tuple),
+        params_id=st.just(PARAMS.params_id),
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(feature=features(), h=st.integers(1, 2**32 - 1))
+def test_a_feature_survives_the_wire(feature, h):
+    m = Message(SESSION, QueryEnvelope(uid="u1", ak=b"\x01", h=h, eq=feature))
+    assert decode_message(encode_message(m)) == m
+
+
+@settings(max_examples=10, deadline=None)
+@given(feature=features())
+def test_every_prefix_of_an_owner_upload_is_refused_inside_its_frame(feature):
+    data = encode_message(Message(SESSION, OwnerUpload("o1", (("u1", b"\x01"),),
+                                                       (("im1", tiny_image(), feature),))))
+    for cut in range(len(data)):
+        prefix = data[:cut]
+        # as sent, whose frame length no longer matches, and re-framed, so
+        # that the body's own fields run out
+        candidates = [prefix]
+        if cut >= 4:
+            candidates.append(struct.pack(">I", cut - 4) + prefix[4:])
+        for candidate in candidates:
+            with pytest.raises(DecodeError) as err:
+                decode_message(candidate)
+            assert 0 <= err.value.offset <= cut
 
 
 def make_world(seed=b"world-seed", top_h=100):
