@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import evaluation, group_crypto
-from .cloud_node import (DEFAULT_TOP_H, AddImages, CloudError, CloudNode, DeleteImages,
-                         UpdateImages, credential_line, read_credentials, read_framed)
+from .cloud_node import (DEFAULT_TOP_H, AddImages, AuthorizationError, CloudError, CloudNode,
+                         DeleteImages, UpdateImages, credential_line, read_credentials, read_framed)
 from .ehd_features import extract_ehd
 # image_enc is not called here; it stays bound so that instrumentation
 # which wraps this module's names finds every one of them.
@@ -67,8 +67,7 @@ def cmd_ingest(args) -> int:
     seed = args.seed.encode()
     corpus = evaluation.load_corpus(args.corpus, owners=args.owners)
     if not corpus.items:
-        print("nothing to ingest", file=sys.stderr)
-        return 1
+        raise ValueError("nothing to ingest")
     if args.params:
         params = group_crypto.load_params(args.params)
     else:
@@ -80,12 +79,14 @@ def cmd_ingest(args) -> int:
     kmc = KmcNode()
     ak = derive_seed(seed, f"ak:{args.user}")
     max_pixels = max(item.image.size for item in corpus.items)
-    for owner_id, items in sorted(corpus.by_owner().items()):
+    owners = corpus.by_owner()
+    rows = 0
+    for owner_id, items in sorted(owners.items()):
         sk = keygen(max_pixels, derive_seed(seed, f"owner-sk:{owner_id}"))
         uploads, _ = encrypt_uploads(
             params, sk, [(item.item_id, item.image) for item in items], seed, "feature:"
         )
-        cloud.register_owner(owner_id, [(args.user, ak)], uploads)
+        rows += cloud.register_owner(owner_id, [(args.user, ak)], uploads)
         kmc.store_owner_key(owner_id, sk)
 
     store.mkdir(parents=True, exist_ok=True)
@@ -95,7 +96,7 @@ def cmd_ingest(args) -> int:
     (store / "users.tsv").write_text(f"{USERS_HEADER}\n{credential_line(args.user, ak)}\n")
     print(f"ingested {len(corpus.items)} images from "
           f"{len(corpus.categories)} categories into {store} "
-          f"({args.owners} owners, index rows: {len(cloud.index)})")
+          f"({len(owners)} owners, index rows: {rows})")
     return 0
 
 
@@ -104,23 +105,17 @@ def cmd_query(args) -> int:
     params, cloud, kmc, users = _load_store(store)
     uid, ak = next(iter(users.items()))
     if args.top_h < 1:
-        print(f"--top-h must be >= 1, not {args.top_h}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--top-h must be >= 1, not {args.top_h}")
     try:
         query_feature = extract_ehd(read_pgm(args.image)[0])
     except (OSError, ValueError) as exc:  # unreadable, not a PGM, or too small
-        print(f"--image: {exc}", file=sys.stderr)
-        return 1
-    # no stored image is longer than its owner's key: image_enc refuses one
-    key_len = max((len(kmc.owner_key(oid)) for oid in cloud.owner_ids), default=1)
+        raise ValueError(f"--image: {exc}") from exc
     result = query_session(
         params, cloud, kmc, uid, ak, query_feature, args.top_h, args.seed.encode(),
-        _next_session(store), key_len,
-        lambda message, transcript, handler: handler(message),
+        _next_session(store), lambda message, transcript, handler: handler(message),
     )
     if not result.authorized:
-        print(f"user {uid!r} is authorized by no owner", file=sys.stderr)
-        return 1
+        raise AuthorizationError(f"user {uid!r} is authorized by no owner")
 
     lines = ["user_rank\towner_id\timage_id\tcloud_distance\tlocal_euclidean"]
     for rank, (gap, owner_id, image_id) in enumerate(result.ranking, 1):
@@ -168,21 +163,14 @@ def cmd_eval(args) -> int:
 
 def cmd_leakage(args) -> int:
     _, outcomes = _eval_inputs(args)
-    histogram = evaluation.leakage_histogram(outcomes, deciles=args.deciles)
+    histogram = evaluation.leakage_histogram(outcomes)
     _emit(evaluation.leakage_tsv(histogram), args.out)
     return 0
 
 
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    params = group_crypto.load_params(args.params) if args.params else None
-    report = evaluation.bench(
-        sizes,
-        modes=tuple(args.modes.split(",")) if args.modes else evaluation.BENCH_MODES,
-        params=params,
-        seed=args.seed.encode(),
-        reps=args.reps,
-    )
+    report = evaluation.bench(sizes, seed=args.seed.encode(), reps=args.reps)
     text = evaluation.bench_tsv(report)
     if not report.rankings_match:
         text += "WARNING: encrypted retrieval paths disagreed on rankings\n"
@@ -191,23 +179,26 @@ def cmd_bench(args) -> int:
 
 
 def cmd_update(args) -> int:
+    for flag in ("add", "delete", "reencrypt"):
+        if getattr(args, flag) == "":
+            raise ValueError(f"--{flag} needs a value")
     store = Path(args.store)
     params, cloud, kmc, _ = _load_store(store)
     seed = args.seed.encode()
     sk = kmc.owner_key(args.owner)
 
-    if args.add:
+    if args.add is not None:
         items = []
         for path in sorted(Path(args.add).glob("*.pgm")):
             image = read_pgm(path)[0]
             try:
                 uploads, _ = encrypt_uploads(params, sk, [(path.stem, image)], seed, "add:")
-            except ValueError as exc:  # too small for an EHD, or beyond the owner's key
-                raise ValueError(f"{path}: {exc}") from None
+            except ValueError as exc:  # named by the file, not by its image id
+                raise type(exc)(f"{path}: {exc.__cause__}") from None
             items += uploads
         cloud.apply_update(args.owner, AddImages(tuple(items)))
         done = f"added {len(items)} images to {args.owner}"
-    elif args.delete:
+    elif args.delete is not None:
         ids = tuple(args.delete.split(","))
         cloud.apply_update(args.owner, DeleteImages(ids))
         done = f"deleted {len(ids)} images from {args.owner}"
@@ -272,14 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--top-h", type=int, default=DEFAULT_TOP_H)
         p.add_argument("--queries-per-category", type=int, default=5)
         p.add_argument("--out")
-        if name == "leakage":
-            p.add_argument("--deciles", type=int, default=10)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("bench", help="timing and storage benchmarks")
     p.add_argument("--sizes", default="100,1000,10000")
-    p.add_argument("--modes", help="comma-separated subset of bench modes")
-    p.add_argument("--params", help="parameter file (default: generate)")
     p.add_argument("--seed", default="mipp")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--out")
@@ -303,8 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CloudError, VaultError, ValueError, OSError) as exc:  # the program's refusals
-        # a VaultError is a KeyError, whose str() quotes its message
-        print(exc.args[0] if isinstance(exc, VaultError) else exc, file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 1
 
 

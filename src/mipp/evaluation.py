@@ -45,11 +45,11 @@ EVAL_USER = "query-user"
 DESK_SECURITY_BITS = 32
 
 
-class IngestError(Exception):
-    """One or more corpus files could not be ingested."""
+class IngestError(ValueError):
+    """Corpus files that could not be ingested; ``errors`` names each."""
 
     def __init__(self, errors: list[str]):
-        super().__init__(f"{len(errors)} corpus file(s) rejected")
+        super().__init__(f"{len(errors)} corpus file(s) rejected: {'; '.join(errors)}")
         self.errors = errors
 
 
@@ -113,8 +113,8 @@ def load_corpus(root: str | Path, owners: int = 3) -> LabeledCorpus:
                 continue
             try:
                 image, _ = read_pgm(path)
-            except (ValueError, OSError) as exc:
-                errors.append(f"{path}: {exc}")
+            except (ValueError, OSError) as exc:  # each names the path
+                errors.append(str(exc))
                 continue
             items.append(
                 CorpusItem(
@@ -395,6 +395,8 @@ def run_retrieval_experiment(
     """
     if not corpus.items:
         raise ValueError("corpus is empty")
+    if not queries:
+        raise ValueError("no queries to run")
     max_pixels = max(item.image.size for item in corpus.items)
     world = World(params, seed, top_h=h, max_image_pixels=max_pixels)
     world.add_user(EVAL_USER)
@@ -533,8 +535,8 @@ def bench(
     largest size.
     """
     sizes = list(sizes)
-    if sizes != sorted(sizes) or not sizes:
-        raise ValueError("sizes must be non-empty and ascending")
+    if sizes != sorted(sizes) or not sizes or sizes[0] < 1:
+        raise ValueError("sizes must be non-empty, ascending and >= 1")
     unknown = set(modes) - set(BENCH_MODES)
     if unknown:
         raise ValueError(f"unknown bench modes: {sorted(unknown)}")

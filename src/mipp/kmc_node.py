@@ -32,6 +32,9 @@ VAULT_HEADER = "MIPP-VAULT-1"
 class VaultError(KeyError):
     """Owner key missing, or a second key deposited for an owner."""
 
+    def __str__(self) -> str:  # KeyError's would quote the message
+        return str(self.args[0])
+
 
 class SessionError(KeyError):
     """No user key deposited for the given (uid, session)."""
@@ -77,6 +80,11 @@ class KmcNode:
             return self._owner_keys[oid]
         except KeyError:
             raise VaultError(f"no key stored for owner {oid!r}") from None
+
+    def user_key_length(self) -> int:
+        """The longest owner key; no owner stores an image longer than its key."""
+        with self._lock:
+            return max(map(len, self._owner_keys.values()), default=1)
 
     def store_user_key(self, uid: str, usk: bytes, session: str) -> None:
         """Deposit a per-query user keystream bound to one session."""

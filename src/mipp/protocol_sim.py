@@ -367,16 +367,20 @@ def encrypt_uploads(
     Each image's EHD is encrypted as a feature pair under
     ``derive_seed(seed, label + image_id)`` and the image is XORed with the
     owner keystream ``sk``.  Returns the (image id, encrypted image,
-    encrypted feature) triples to upload, and the plaintext features.
+    encrypted feature) triples to upload, and the plaintext features.  A
+    refusal keeps its type and gains the image id; its cause is the original.
     """
     uploads = []
     features = {}
     for image_id, img in images:
-        feature = extract_ehd(img)
-        enc = feature_crypto.encrypt_feature_pair(
-            params, feature, derive_seed(seed, label + image_id)
-        )
-        uploads.append((image_id, image_enc(sk, img), enc))
+        try:
+            feature = extract_ehd(img)
+            enc = feature_crypto.encrypt_feature_pair(
+                params, feature, derive_seed(seed, label + image_id)
+            )
+            uploads.append((image_id, image_enc(sk, img), enc))
+        except ValueError as exc:
+            raise type(exc)(f"{image_id}: {exc}") from exc
         features[image_id] = feature
     return uploads, features
 
@@ -453,7 +457,6 @@ def query_session(
     h: int,
     seed: bytes | str,
     ordinal: int,
-    key_len: int,
     send: Callable[[Message, SessionTranscript, Callable[[Message], object]], object],
 ) -> SessionResult:
     """Steps 3..7 of user ``uid``'s ``ordinal``-th query, whose image has
@@ -464,7 +467,7 @@ def query_session(
     ``retrieve_top_h`` is the only authorization check: when it refuses the
     user, the session notes the failure, drops the user key at the KMC and
     ends unauthorized.  Everything random derives from (seed, uid, ordinal);
-    the user key covers ``key_len`` pixels.
+    the user key is as long as the longest owner key the KMC holds.
     """
     session = ByteStream(derive_seed(seed, f"session:{uid}:{ordinal}")).take(SESSION_ID_BYTES)
     sid = session.hex()
@@ -472,7 +475,7 @@ def query_session(
     eq = feature_crypto.encrypt_feature_pair(
         params, query_feature, derive_seed(seed, f"query-feature:{uid}:{ordinal}")
     )
-    usk = keygen(key_len, derive_seed(seed, f"usk:{uid}:{ordinal}"))
+    usk = keygen(kmc.user_key_length(), derive_seed(seed, f"usk:{uid}:{ordinal}"))
 
     def hop(payload, handler: Callable[[Message], object]):
         return send(Message(session, payload), transcript, handler)
@@ -504,9 +507,9 @@ def query_session(
 class World:
     """One cloud, one KMC, any number of owners and users.
 
-    ``max_image_pixels`` fixes the keystream length for every actor, so a
-    user key deposited at step 4 is guaranteed to cover whatever result
-    images arrive at step 7.
+    ``max_image_pixels`` fixes the length of every owner key.  A user key
+    is as long as the longest owner key, so the key deposited at step 4
+    covers whatever result images arrive at step 7.
     """
 
     def __init__(
@@ -545,8 +548,9 @@ class World:
     ) -> OwnerActor:
         """Run steps 1 and 2 for one owner.
 
-        The owner key covers ``max_image_pixels`` pixels, so a larger image
-        raises ``KeyLengthError`` before anything is sent.
+        The owner key covers ``max_image_pixels`` pixels; a larger image
+        (``KeyLengthError``) or one too small for an EHD is refused, by its
+        id, before anything is sent.
         """
         if owner_id in self.owners:
             raise ValueError(f"owner {owner_id!r} already exists")
@@ -592,8 +596,7 @@ class World:
             ordinal = user.sessions_run
             user.sessions_run += 1
         return query_session(self.params, self.cloud, self.kmc, uid, user.ak, query_feature,
-                             self.top_h if h is None else h, self.seed, ordinal,
-                             self.max_image_pixels, self._send)
+                             self.top_h if h is None else h, self.seed, ordinal, self._send)
 
     # -- message handlers --------------------------------------------------
 

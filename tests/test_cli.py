@@ -129,12 +129,12 @@ def test_leakage_output(corpus_dir, tmp_path):
         rc = main([
             "leakage", "--corpus", str(corpus_dir), "--owners", "2",
             "--queries-per-category", "1", "--top-h", "10",
-            "--deciles", "5", "--seed", "cli-leak", "--out", str(out),
+            "--seed", "cli-leak", "--out", str(out),
         ])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "decile\teuc_dis\tnew_dis\tuser"
-    assert len(lines) == 6
+    assert len(lines) == 11
 
 
 def test_bench_output(tmp_path):
@@ -440,3 +440,78 @@ def test_query_reads_only_the_images_it_returns(
     # an update that keeps the image reads its feature when it saves the store
     update = ["update", "--owner", "owner-2", "--delete", _first_image(store, "owner-2")]
     assert refusal(update, store, capsys).startswith(f"{eft}: expected MIPP-EFT-1 header")
+
+
+def _tiny_pgm(directory):
+    directory.mkdir(parents=True, exist_ok=True)
+    write_pgm(directory / "tiny.pgm", np.zeros((4, 4), dtype=np.uint8))
+
+
+def _corpus_with(root, make):
+    cat = root / "cat"
+    cat.mkdir(parents=True)
+    write_pgm(cat / "fine.pgm", np.full((16, 16), 9, dtype=np.uint8))
+    make(cat)
+
+
+_PREPARE = {
+    "bad-header": lambda store, tmp: (store / "cloud" / "index.tsv").write_text("BAD-HEADER\n"),
+    "stranger": lambda store, tmp: (store / "users.tsv").write_text(
+        f"uid\tak_hex\nuser-1\t{'00' * 32}\n"),
+    "tiny-add": lambda store, tmp: _tiny_pgm(tmp / "add"),
+    "text-in-corpus": lambda store, tmp: _corpus_with(
+        tmp / "corpus", lambda cat: (cat / "notes.txt").write_text("notes\n")),
+    "tiny-in-corpus": lambda store, tmp: _corpus_with(tmp / "corpus", _tiny_pgm),
+    "empty-corpus": lambda store, tmp: (tmp / "corpus" / "cat").mkdir(parents=True),
+}
+_QUERY = ["query", "--store", "{store}", "--image", "{query}"]
+_UPDATE = ["update", "--store", "{store}", "--owner", "owner-1"]
+_INGEST = ["ingest", "--corpus", "{tmp}/corpus", "--store", "{tmp}/new"]
+_TOO_SMALL = "4x4 image too small for a 4x4 grid of 2x2 blocks"
+
+
+@pytest.mark.parametrize("prepare, argv, message", [
+    ("bad-header", _QUERY, "{store}/cloud/index.tsv: missing or malformed header"),
+    (None, _QUERY + ["--top-h", "0"], "--top-h must be >= 1, not 0"),
+    (None, ["query", "--store", "{store}", "--image", "{store}/params.txt"],
+     "--image: {store}/params.txt: not a binary PGM (P5) file"),
+    ("stranger", _QUERY, "user 'user-1' is authorized by no owner"),
+    ("tiny-add", _UPDATE + ["--add", "{tmp}/add"], "{tmp}/add/tiny.pgm: " + _TOO_SMALL),
+    (None, ["update", "--store", "{store}", "--owner", "owner-9", "--delete", "x"],
+     "no key stored for owner 'owner-9'"),
+    (None, _UPDATE + ["--add", ""], "--add needs a value"),
+    (None, _UPDATE + ["--delete", ""], "--delete needs a value"),
+    (None, _UPDATE + ["--reencrypt", ""], "--reencrypt needs a value"),
+    ("text-in-corpus", _INGEST,
+     "1 corpus file(s) rejected: {tmp}/corpus/cat/notes.txt: not a binary PGM (P5) file"),
+    ("tiny-in-corpus", _INGEST, "cat_tiny: " + _TOO_SMALL),
+    ("empty-corpus", _INGEST, "nothing to ingest"),
+    (None, ["eval", "--corpus", "{corpus}", "--owners", "2", "--queries-per-category", "0"],
+     "no queries to run"),
+    (None, ["leakage", "--corpus", "{corpus}", "--owners", "2", "--queries-per-category", "0"],
+     "no queries to run"),
+    (None, ["bench", "--sizes", "0", "--reps", "1"],
+     "sizes must be non-empty, ascending and >= 1"),
+], ids=["malformed-store-file", "top-h-zero", "bad-image", "authorized-by-no-owner",
+        "bad-add-file", "unknown-owner", "empty-add", "empty-delete", "empty-reencrypt",
+        "bad-corpus-file", "too-small-corpus-file", "nothing-to-ingest", "eval-no-queries",
+        "leakage-no-queries", "bench-size-0"])
+def test_no_refusal_ends_in_a_traceback(
+    store_dir, corpus_dir, tmp_path, capsys, prepare, argv, message
+):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    (store / "session.counter").write_text("5")
+    if prepare:
+        _PREPARE[prepare](store, tmp_path)
+    before = _tree(store)
+    names = dict(store=store, tmp=tmp_path, corpus=corpus_dir,
+                 query=sorted((corpus_dir / "cat00").glob("*.pgm"))[0])
+    capsys.readouterr()
+    assert main([a.format(**names) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message.format(**names) + "\n"
+    assert captured.out == ""
+    assert _tree(store) == before and not (tmp_path / "new").exists()
+    if prepare != "stranger":  # authorization is checked after the session starts
+        assert (store / "session.counter").read_text() == "5"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mipp import evaluation
 from mipp.evaluation import (
     IngestError,
     QueryOutcome,
@@ -96,6 +97,20 @@ def test_load_corpus_reports_every_bad_file(tmp_path):
     with pytest.raises(IngestError) as err:
         load_corpus(root)
     assert len(err.value.errors) == 2
+
+
+def test_each_corpus_error_names_its_path_once(tmp_path):
+    d = tmp_path / "corpus" / "cat"
+    d.mkdir(parents=True)
+    bad = [d / "bad1.pgm", d / "bad2.pgm"]
+    bad[0].write_bytes(b"not a pgm")
+    bad[1].write_bytes(b"P5\n8 8\n255\nshort")
+    with pytest.raises(IngestError) as err:
+        load_corpus(tmp_path / "corpus")
+    assert isinstance(err.value, ValueError)
+    assert err.value.errors == [f"{bad[0]}: not a binary PGM (P5) file",
+                                f"{bad[1]}: raster size mismatch"]
+    assert str(err.value) == "2 corpus file(s) rejected: " + "; ".join(err.value.errors)
 
 
 # -- metrics -------------------------------------------------------------
@@ -266,6 +281,16 @@ def test_bench_timing_grows_with_corpus(small_bench):
         if row.mode == "enc_no_index"
     }
     assert by_size[500] > by_size[50]
+
+
+def test_an_experiment_without_queries_is_refused_before_its_world(monkeypatch):
+    def no_world(*args, **kwargs):
+        raise AssertionError("the World was built")
+
+    monkeypatch.setattr(evaluation, "World", no_world)
+    corpus = synth_corpus(TINY, owners=2, seed=b"no-queries")
+    with pytest.raises(ValueError, match="^no queries to run$"):
+        run_retrieval_experiment(corpus, [], PARAMS)
 
 
 def test_bench_storage_report(small_bench):

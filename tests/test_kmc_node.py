@@ -26,6 +26,18 @@ def test_owner_key_overwrite_needs_rotate():
     assert kmc.owner_key("o1") == b"\x01" * 8
 
 
+def test_a_user_key_is_as_long_as_the_longest_owner_key():
+    kmc = KmcNode()
+    assert kmc.user_key_length() == 1  # keygen's shortest key
+    kmc.store_owner_key("o1", b"\x01" * 9)
+    kmc.store_owner_key("o2", b"\x02" * 5)
+    assert kmc.user_key_length() == 9
+
+
+def test_a_vault_error_prints_its_message_unquoted():
+    assert str(VaultError("no key stored for owner 'o1'")) == "no key stored for owner 'o1'"
+
+
 def test_reencrypt_roundtrip():
     kmc = KmcNode()
     w = img(1)

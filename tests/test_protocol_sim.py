@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipp.cloud_node import QueryEnvelope
+from mipp.ehd_features import ImageTooSmallError
 from mipp.feature_crypto import EncryptedFeature, encrypt_feature_pair
 from mipp.group_crypto import gen_group_params
 from mipp.protocol_sim import (
@@ -221,6 +222,15 @@ def test_image_beyond_the_owner_key_is_refused_before_anything_is_sent():
     with pytest.raises(KeyError):
         world.kmc.owner_key("owner-1")
     assert world.setup_transcript.entries == []
+
+
+def test_an_image_too_small_for_an_ehd_is_refused_by_its_id():
+    world = World(PARAMS, b"tiny", max_image_pixels=16 * 16)
+    images = [("fine", np.zeros((16, 16), np.uint8)), ("tiny-7", np.zeros((4, 4), np.uint8))]
+    with pytest.raises(ImageTooSmallError,
+                       match=r"^tiny-7: 4x4 image too small for a 4x4 grid of 2x2 blocks$"):
+        world.add_owner("owner-1", images)
+    assert world.cloud.owner_ids == () and world.setup_transcript.entries == []
 
 
 def test_session_transcript_order_and_fidelity():
