@@ -47,6 +47,12 @@ def _load_store(store: Path):
     return params, cloud, kmc, users
 
 
+def _require_top_h(args) -> None:
+    """Refuse a result count below 1 before any work."""
+    if args.top_h < 1:
+        raise ValueError(f"--top-h must be >= 1, not {args.top_h}")
+
+
 def _next_session(store: Path) -> int:
     counter_file = store / "session.counter"
     value = int(counter_file.read_text()) if counter_file.exists() else 0
@@ -101,11 +107,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_query(args) -> int:
+    _require_top_h(args)
     store = Path(args.store)
     params, cloud, kmc, users = _load_store(store)
     uid, ak = next(iter(users.items()))
-    if args.top_h < 1:
-        raise ValueError(f"--top-h must be >= 1, not {args.top_h}")
     try:
         query_feature = extract_ehd(read_pgm(args.image)[0])
     except (OSError, ValueError) as exc:  # unreadable, not a PGM, or too small
@@ -133,6 +138,7 @@ def cmd_query(args) -> int:
 
 
 def _eval_inputs(args):
+    _require_top_h(args)
     seed = args.seed.encode()
     if args.corpus:
         corpus = evaluation.load_corpus(args.corpus, owners=args.owners)

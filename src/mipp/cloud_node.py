@@ -4,11 +4,21 @@ The cloud stores encrypted images and encrypted features per owner, plus an
 authorized-user list per owner.  At registration it aggregates each feature
 pair once and keeps the recovered sums (s1, s2) in the retrieval index; this
 is the scheme's deliberate leakage surface (the cloud learns per-image sums,
-nothing entrywise).  Queries are ranked over index rows by
-``similarity.top_h`` with exact integer keys.
-``retrieve_top_h(use_index=False)`` makes the same ranking call over sums
-re-aggregated from every stored ciphertext instead; it is the reference
-the index path is checked and timed against.
+nothing entrywise).  Queries are ranked by ``similarity.top_h`` over
+int64 columns of sums: each ``OwnerRecord`` holds its image ids in sorted
+order with their s1 and s2, built from the rows on the first query that
+needs them and dropped whenever its images change.  A query concatenates
+the authorized owners' columns in owner-id order, so a row's position
+follows (owner id, image id) and equal keys go by that pair, as in
+``sorted((key, owner, image))``.  ``retrieve_top_h(use_index=False)`` makes
+the same ranking call over sums re-aggregated from every stored ciphertext
+instead; it is the reference the index path is checked and timed against.
+
+The int64 keys are exact because the cloud refuses sums no edge histogram
+has: 80 entries in [0, 255] give 0 <= s1 <= 20,400 and
+0 <= s2 <= 5,202,000, so every key lies within +-8.33e8.  Every recovered
+sum pair, an upload's or a query's, and every ``index.tsv`` row is checked
+against that range and against Cauchy-Schwarz.
 
 Every feature and query the cloud takes is an edge histogram, of
 ``ehd_features.FEATURE_DIMS`` entries; one check refuses any other length,
@@ -33,7 +43,9 @@ naming it, before anything is written.
 
 from __future__ import annotations
 
+import bisect
 import errno
+import itertools
 import math
 import os
 import re
@@ -46,7 +58,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import feature_crypto
-from .ehd_features import FEATURE_DIMS
+from .ehd_features import BIN_MAX, FEATURE_DIMS
 from .feature_crypto import EncryptedFeature
 from .group_crypto import GroupParams
 from .image_cipher import read_pgm, write_pgm
@@ -131,19 +143,55 @@ class StoredImage:
         return self._feature
 
 
+class Columns(NamedTuple):
+    """An owner's image ids in sorted order, with their sums as int64."""
+
+    image_ids: list[str]
+    s1: np.ndarray
+    s2: np.ndarray
+
+    @classmethod
+    def of(cls, rows: Sequence[IndexEntry]) -> "Columns":
+        """The columns of ``rows``, which are sorted by image id."""
+        return cls([r.image_id for r in rows], np.array([r.s1 for r in rows], dtype=np.int64),
+                   np.array([r.s2 for r in rows], dtype=np.int64))
+
+
 @dataclass
 class OwnerRecord:
+    """An owner's authorized users and images.  ``images`` is written only
+    through ``store`` and ``delete``, which drop the cached columns."""
+
     owner_id: str
     aul: frozenset[tuple[str, bytes]]
     images: dict[str, StoredImage] = field(default_factory=dict)
+    _columns: Columns | None = field(default=None, repr=False, compare=False)
 
     def require_owned(self, image_ids: Iterable[str]) -> None:
-        """Refuse a repeated image id, or one this owner does not hold."""
+        """Refuse an unsafe or repeated image id, or one this owner does not hold."""
         image_ids = list(image_ids)
+        for image_id in image_ids:
+            _check_id(image_id, "image id")
         _require_distinct(self.owner_id, image_ids)
         for image_id in image_ids:
             if image_id not in self.images:
                 raise OwnershipError(f"{self.owner_id} does not own {image_id!r}")
+
+    def store(self, images: dict[str, StoredImage]) -> None:
+        """Add ``images``, or replace those already held under their ids."""
+        self.images.update(images)
+        self._columns = None
+
+    def delete(self, image_ids: Iterable[str]) -> None:
+        for image_id in image_ids:
+            del self.images[image_id]
+        self._columns = None
+
+    def columns(self) -> Columns:
+        """The rows' columns, built on first use; the caller holds the cloud's lock."""
+        if self._columns is None:
+            self._columns = Columns.of([self.images[i].row for i in sorted(self.images)])
+        return self._columns
 
 
 @dataclass(frozen=True)
@@ -294,20 +342,28 @@ class CloudNode:
             if not authorized:
                 raise AuthorizationError(f"user {q.uid!r} matches no owner's list")
             query = self._sums(q.eq, f"query sums of user {q.uid!r}")
-            stored = (s for oid in authorized for s in self._owners[oid].images.values())
-            rows = (
-                s.row if use_index else self._make_row(s.row.owner_id, s.row.image_id, s.feature)
-                for s in stored
-            )
-            return [
-                RetrievalResult(
-                    owner_id=owner_id,
-                    image_id=image_id,
-                    enc_image=self._owners[owner_id].images[image_id].enc_image,
-                    distance=math.sqrt(key / query.l),
-                )
-                for key, owner_id, image_id in top_h(query, rows, q.h)
+            records = [self._owners[oid] for oid in sorted(authorized)]
+            columns = [
+                record.columns() if use_index else Columns.of([
+                    self._make_row(record.owner_id, image_id, record.images[image_id].feature)
+                    for image_id in sorted(record.images)
+                ])
+                for record in records
             ]
+            starts = list(itertools.accumulate((len(c.image_ids) for c in columns), initial=0))
+            ranked = top_h(query, np.concatenate([c.s1 for c in columns]),
+                           np.concatenate([c.s2 for c in columns]), q.h)
+            results = []
+            for key, position in ranked:
+                k = bisect.bisect_right(starts, position) - 1
+                record, image_id = records[k], columns[k].image_ids[position - starts[k]]
+                results.append(RetrievalResult(
+                    owner_id=record.owner_id,
+                    image_id=image_id,
+                    enc_image=record.images[image_id].enc_image,
+                    distance=math.sqrt(key / query.l),
+                ))
+            return results
 
     def apply_update(
         self, owner_id: str, command: AddImages | DeleteImages | UpdateImages
@@ -319,15 +375,14 @@ class CloudNode:
                 self._add_images(record, command.items)
             elif isinstance(command, DeleteImages):
                 record.require_owned(command.image_ids)
-                for image_id in command.image_ids:
-                    del record.images[image_id]
+                record.delete(command.image_ids)
             elif isinstance(command, UpdateImages):
                 record.require_owned(iid for iid, _, _ in command.items)
                 staged = self._stage(owner_id, command.items)
                 for image_id, stored in staged.items():
                     if stored.row != record.images[image_id].row:
                         raise CloudError(f"{owner_id}/{image_id}: replacement changes its sums")
-                record.images.update(staged)
+                record.store(staged)
             else:
                 raise TypeError(f"unknown update command {type(command).__name__}")
 
@@ -339,7 +394,7 @@ class CloudNode:
                 raise DuplicateImageError(f"{record.owner_id}/{image_id}")
         _require_distinct(record.owner_id, (image_id for image_id, _, _ in items))
         staged = self._stage(record.owner_id, items)
-        record.images.update(staged)
+        record.store(staged)
         return len(staged)
 
     def _stage(self, owner_id: str, items: Sequence[tuple]) -> dict[str, StoredImage]:
@@ -355,14 +410,11 @@ class CloudNode:
         return IndexEntry(owner_id, image_id, sums.s1, sums.s2)
 
     def _sums(self, feature: EncryptedFeature, what: str) -> SumPair:
-        """The recovered sums of ``feature``, an edge histogram's, which must
-        satisfy Cauchy-Schwarz; ``what`` names them in a refusal."""
+        """The recovered sums of ``feature``, which must be sums an edge
+        histogram can have; ``what`` names them in a refusal."""
         _require_ehd_length(feature)
         s1, s2 = feature_crypto.recover_sums(self.params, feature)
-        sums = SumPair(s1=s1, s2=s2, l=feature.dims)
-        if not sums.is_consistent():
-            raise CorruptedSumsError(f"{what} violate Cauchy-Schwarz")
-        return sums
+        return _require_ehd_sums(s1, s2, what)
 
     def index_table(self) -> str:
         """The retrieval index as the text of ``index.tsv``."""
@@ -424,6 +476,7 @@ class CloudNode:
                 row = IndexEntry(owner_id, image_id, int(s1), int(s2))
             except ValueError:
                 raise ValueError(f"{index_path}: line {number} is malformed: {ln!r}") from None
+            _require_ehd_sums(row.s1, row.s2, f"{index_path}: line {number}: sums")
             if (owner_id, image_id) in rows:
                 raise CloudError(f"index row {owner_id}/{image_id} is listed twice")
             rows[(owner_id, image_id)] = row
@@ -440,6 +493,7 @@ class CloudNode:
             record = OwnerRecord(owner_id=owner_id, aul=frozenset(aul.items()))
             features = set(_listing(base / "feat"))
             pgms = (n.removesuffix(".pgm") for n in _listing(base / "img") if n.endswith(".pgm"))
+            images = {}
             for image_id in sorted(pgms):
                 if f"{image_id}.eft" not in features:
                     eft = base / "feat" / f"{image_id}.eft"
@@ -447,7 +501,8 @@ class CloudNode:
                 row = rows.pop((owner_id, image_id), None)
                 if row is None:
                     raise CloudError(f"image {owner_id}/{image_id} has no index row")
-                record.images[image_id] = StoredImage(None, None, row, (node._lock, base))
+                images[image_id] = StoredImage(None, None, row, (node._lock, base))
+            record.store(images)
             node._owners[owner_id] = record
         if rows:
             raise CloudError("index row {}/{} has no image".format(*min(rows)))
@@ -459,8 +514,8 @@ class CloudNode:
         command uses it, since ``save_store`` reads every image it keeps."""
         node = cls.open_store(root, params)
         for record in node._owners.values():
-            for image_id, stored in record.images.items():
-                record.images[image_id] = StoredImage(stored.enc_image, stored.feature, stored.row)
+            record.store({image_id: StoredImage(stored.enc_image, stored.feature, stored.row)
+                          for image_id, stored in record.images.items()})
         return node
 
 
@@ -469,6 +524,18 @@ def _require_ehd_length(feature: EncryptedFeature) -> None:
     if feature.dims != FEATURE_DIMS:
         raise ValueError(f"feature dimension {feature.dims}, not the edge histogram's "
                          f"{FEATURE_DIMS}")
+
+
+def _require_ehd_sums(s1: int, s2: int, what: str) -> SumPair:
+    """(s1, s2) as an edge histogram's sums, refused unless they lie in the
+    range its ``FEATURE_DIMS`` entries in [0, ``BIN_MAX``] give and satisfy
+    Cauchy-Schwarz; ``what`` names them in a refusal."""
+    if not (0 <= s1 <= FEATURE_DIMS * BIN_MAX and 0 <= s2 <= FEATURE_DIMS * BIN_MAX**2):
+        raise CorruptedSumsError(f"{what} lie outside an edge histogram's range")
+    sums = SumPair(s1=s1, s2=s2, l=FEATURE_DIMS)
+    if not sums.is_consistent():
+        raise CorruptedSumsError(f"{what} violate Cauchy-Schwarz")
+    return sums
 
 
 def _read_feature(eft: Path) -> EncryptedFeature:

@@ -14,17 +14,25 @@ Blocks are scored in exact integers by their squared responses
 the real-valued filters do: a diagonal response sqrt(2)*k never equals an
 integer response j > 0 or the threshold, and when the two diagonals tie
 (|a-d| = |b-c| = k > 0) the vertical or horizontal response is 2k and wins.
+
+Which pixels form blocks, and which cell each block counts in, depends only
+on the image's shape; ``_geometry`` derives it once per shape and keeps it
+in a bounded cache as read-only arrays.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 EDGE_TYPES = ("vertical", "horizontal", "diag45", "diag135", "nondirectional")
 GRID = 4
 EDGE_THRESHOLD = 11
+BIN_MAX = 255  # the largest bin value
 FEATURE_DIMS = GRID * GRID * len(EDGE_TYPES)
 _NO_EDGE = len(EDGE_TYPES)
+_SLOTS = _NO_EDGE + 1  # per cell: one count per edge type, then the blocks with no edge
 
 
 class ImageTooSmallError(ValueError):
@@ -47,6 +55,21 @@ def _block_axis(length: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([pos[first], pos[first] + 1], axis=1).ravel(), cell[first]
 
 
+@functools.lru_cache(maxsize=64)
+def _geometry(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For an m x n image: the block rows' and columns' pixel positions,
+    each block's first count slot (its cell times ``_SLOTS``), and every
+    cell's block count as a column; all read-only."""
+    rows, row_cell = _block_axis(m)
+    cols, col_cell = _block_axis(n)
+    slot = (row_cell[:, None] * GRID + col_cell) * _SLOTS
+    blocks = np.outer(np.bincount(row_cell, minlength=GRID),
+                      np.bincount(col_cell, minlength=GRID)).reshape(-1, 1)
+    for array in (rows, cols, slot, blocks):
+        array.flags.writeable = False
+    return rows, cols, slot, blocks
+
+
 def extract_ehd(img: np.ndarray) -> np.ndarray:
     """Extract the edge histogram of a uint8 image as int64 bins in [0, 255]."""
     arr = np.asarray(img)
@@ -58,8 +81,7 @@ def extract_ehd(img: np.ndarray) -> np.ndarray:
             f"{m}x{n} image too small for a {GRID}x{GRID} grid of 2x2 blocks"
         )
 
-    rows, row_cell = _block_axis(m)
-    cols, col_cell = _block_axis(n)
+    rows, cols, slot, blocks = _geometry(m, n)
     px = arr.take(rows, axis=0).take(cols, axis=1).astype(np.int32)
     a, b, c, d = px[0::2, 0::2], px[0::2, 1::2], px[1::2, 0::2], px[1::2, 1::2]
     ad, bc = a - d, b - c
@@ -73,9 +95,5 @@ def extract_ehd(img: np.ndarray) -> np.ndarray:
         kind = np.where(score > best, k, kind)
         best = np.maximum(best, score)
 
-    slots = _NO_EDGE + 1
-    cell = row_cell[:, None] * GRID + col_cell
-    counts = np.bincount((cell * slots + kind).ravel(), minlength=GRID * GRID * slots)
-    rows_per_cell = np.bincount(row_cell, minlength=GRID)
-    blocks = np.outer(rows_per_cell, np.bincount(col_cell, minlength=GRID)).reshape(-1, 1)
-    return (255 * counts.reshape(-1, slots)[:, :_NO_EDGE] // blocks).ravel()
+    counts = np.bincount((slot + kind).ravel(), minlength=GRID * GRID * _SLOTS)
+    return (BIN_MAX * counts.reshape(-1, _SLOTS)[:, :_NO_EDGE] // blocks).ravel()

@@ -397,6 +397,8 @@ def run_retrieval_experiment(
         raise ValueError("corpus is empty")
     if not queries:
         raise ValueError("no queries to run")
+    if h < 1:
+        raise ValueError("result count h must be >= 1")
     max_pixels = max(item.image.size for item in corpus.items)
     world = World(params, seed, top_h=h, max_image_pixels=max_pixels)
     world.add_user(EVAL_USER)

@@ -206,6 +206,20 @@ def test_refused_delete_exits_1_and_changes_nothing(
                                         message)
 
 
+_EMPTY_ID = "image id '' must match ^[A-Za-z0-9_.-]+$"
+
+
+@pytest.mark.parametrize("option, ids", [
+    ("--delete", ","), ("--delete", "{image},"), ("--reencrypt", ","),
+    ("--reencrypt", ",{image}"),
+], ids=["delete-comma", "delete-trailing-comma", "reencrypt-comma", "reencrypt-leading-comma"])
+def test_an_empty_id_in_an_update_list_is_refused_as_an_id(
+    store_dir, tmp_path, capsys, option, ids
+):
+    _refused_before_the_session_counter(store_dir, tmp_path, capsys, "owner-1", option, ids,
+                                        _EMPTY_ID)
+
+
 def test_reencrypt_of_an_image_the_owner_lacks_changes_nothing(store_dir, tmp_path, capsys):
     _refused_before_the_session_counter(store_dir, tmp_path, capsys, "owner-1", "--reencrypt",
                                         "nope", "owner-1 does not own 'nope'")
@@ -365,6 +379,19 @@ def test_query_input_errors_exit_1_before_the_session_counter(
     assert (store / "session.counter").read_text() == "5"
 
 
+@pytest.mark.parametrize("command", ["eval", "leakage"])
+def test_an_experiment_asking_for_no_results_is_refused_before_any_owner(
+    monkeypatch, capsys, command
+):
+    def no_owner(*args, **kwargs):
+        raise AssertionError("an owner was added")
+
+    monkeypatch.setattr(World, "add_owner", no_owner)
+    assert main([command, "--top-h", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "--top-h must be >= 1, not 0\n" and captured.out == ""
+
+
 def test_a_malformed_store_file_is_named_in_its_error(store_dir, tmp_path, capsys):
     store = tmp_path / "store"
     shutil.copytree(store_dir, store)
@@ -454,6 +481,13 @@ def _corpus_with(root, make):
     make(cat)
 
 
+def _edit_first_index_row(store, s1):
+    index = store / "cloud" / "index.tsv"
+    header, first, rest = index.read_text().split("\n", 2)
+    owner_id, image_id, _, s2 = first.split("\t")
+    index.write_text("\n".join([header, f"{owner_id}\t{image_id}\t{s1}\t{s2}", rest]))
+
+
 _PREPARE = {
     "bad-header": lambda store, tmp: (store / "cloud" / "index.tsv").write_text("BAD-HEADER\n"),
     "stranger": lambda store, tmp: (store / "users.tsv").write_text(
@@ -463,7 +497,9 @@ _PREPARE = {
         tmp / "corpus", lambda cat: (cat / "notes.txt").write_text("notes\n")),
     "tiny-in-corpus": lambda store, tmp: _corpus_with(tmp / "corpus", _tiny_pgm),
     "empty-corpus": lambda store, tmp: (tmp / "corpus" / "cat").mkdir(parents=True),
+    "sum-beyond-ehd": lambda store, tmp: _edit_first_index_row(store, s1=2**63),
 }
+
 _QUERY = ["query", "--store", "{store}", "--image", "{query}"]
 _UPDATE = ["update", "--store", "{store}", "--owner", "owner-1"]
 _INGEST = ["ingest", "--corpus", "{tmp}/corpus", "--store", "{tmp}/new"]
@@ -472,6 +508,8 @@ _TOO_SMALL = "4x4 image too small for a 4x4 grid of 2x2 blocks"
 
 @pytest.mark.parametrize("prepare, argv, message", [
     ("bad-header", _QUERY, "{store}/cloud/index.tsv: missing or malformed header"),
+    ("sum-beyond-ehd", _QUERY,
+     "{store}/cloud/index.tsv: line 2: sums lie outside an edge histogram's range"),
     (None, _QUERY + ["--top-h", "0"], "--top-h must be >= 1, not 0"),
     (None, ["query", "--store", "{store}", "--image", "{store}/params.txt"],
      "--image: {store}/params.txt: not a binary PGM (P5) file"),
@@ -488,13 +526,17 @@ _TOO_SMALL = "4x4 image too small for a 4x4 grid of 2x2 blocks"
     ("empty-corpus", _INGEST, "nothing to ingest"),
     (None, ["eval", "--corpus", "{corpus}", "--owners", "2", "--queries-per-category", "0"],
      "no queries to run"),
+    (None, ["eval", "--top-h", "0"], "--top-h must be >= 1, not 0"),
+    (None, ["leakage", "--top-h", "0"], "--top-h must be >= 1, not 0"),
+    (None, _UPDATE + ["--delete", ","], _EMPTY_ID),
     (None, ["leakage", "--corpus", "{corpus}", "--owners", "2", "--queries-per-category", "0"],
      "no queries to run"),
     (None, ["bench", "--sizes", "0", "--reps", "1"],
      "sizes must be non-empty, ascending and >= 1"),
-], ids=["malformed-store-file", "top-h-zero", "bad-image", "authorized-by-no-owner",
-        "bad-add-file", "unknown-owner", "empty-add", "empty-delete", "empty-reencrypt",
-        "bad-corpus-file", "too-small-corpus-file", "nothing-to-ingest", "eval-no-queries",
+], ids=["malformed-store-file", "sum-beyond-ehd", "top-h-zero", "bad-image",
+        "authorized-by-no-owner", "bad-add-file", "unknown-owner", "empty-add", "empty-delete",
+        "empty-reencrypt", "bad-corpus-file", "too-small-corpus-file", "nothing-to-ingest",
+        "eval-no-queries", "eval-top-h-zero", "leakage-top-h-zero", "empty-id-in-delete",
         "leakage-no-queries", "bench-size-0"])
 def test_no_refusal_ends_in_a_traceback(
     store_dir, corpus_dir, tmp_path, capsys, prepare, argv, message

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -718,3 +719,133 @@ def test_saving_an_opened_store_over_itself_changes_no_byte(tmp_path):
     with pytest.raises(ValueError, match=f"^{re.escape(str(eft))}: "):
         opened.save_store(root)
     assert _tree(root) == broken
+
+
+# owner ids whose string order differs from their numeric order
+_OWNER_IDS = ("o9", "o10", "o11")
+_TIE_VECTORS = st.lists(st.integers(0, 1), min_size=2, max_size=2)
+
+
+def _check_both_paths(cloud, plain, query_vector, data):
+    """Both paths return ``sorted((rank_key, owner, image))[:h]`` over
+    ``plain``, the vector of every (owner, image) alice may see."""
+    q = SumPair.from_vector(padded(query_vector))
+    ranked = sorted((rank_key(q, SumPair.from_vector(padded(v))), o, i)
+                    for (o, i), v in plain.items())
+    h = data.draw(st.integers(1, len(ranked) + 2))
+    want = [(o, i, math.sqrt(k / FEATURE_DIMS)) for k, o, i in ranked[:h]]
+    for use_index in (True, False):
+        got = cloud.retrieve_top_h(query(query_vector, h=h), use_index=use_index)
+        assert [(r.owner_id, r.image_id, r.distance) for r in got] == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    owners=st.lists(st.lists(_TIE_VECTORS, max_size=4), min_size=len(_OWNER_IDS),
+                    max_size=len(_OWNER_IDS)),
+    query_vector=_TIE_VECTORS,
+    data=st.data(),
+)
+def test_columnar_ranking_equals_the_sorted_reference_after_every_mutation(
+    owners, query_vector, data
+):
+    # entries in 0..1 give sums in 0..2: most keys tie across the h-th place
+    cloud, plain = CloudNode(PARAMS), {}
+    for owner_id, vectors in reversed(list(zip(_OWNER_IDS, owners))):
+        cloud.register_owner(owner_id, [("alice", AK1)], [
+            (f"i{k}", enc_img(k), upload(v, f"{owner_id}:{k}")) for k, v in enumerate(vectors)
+        ])
+        plain.update(((owner_id, f"i{k}"), v) for k, v in enumerate(vectors))
+    _check_both_paths(cloud, plain, query_vector, data)
+
+    owner_id, vector = data.draw(st.sampled_from(_OWNER_IDS)), data.draw(_TIE_VECTORS)
+    cloud.apply_update(owner_id, AddImages((("added", enc_img(9), upload(vector, b"add")),)))
+    plain[owner_id, "added"] = vector
+    _check_both_paths(cloud, plain, query_vector, data)
+
+    (owner_id, image_id), vector = data.draw(st.sampled_from(sorted(plain.items())))
+    cloud.apply_update(owner_id, UpdateImages(
+        ((image_id, enc_img(10), upload(vector, b"reencrypted")),)))
+    _check_both_paths(cloud, plain, query_vector, data)
+
+    owner_id, image_id = data.draw(st.sampled_from(sorted(plain)))
+    cloud.apply_update(owner_id, DeleteImages((image_id,)))
+    del plain[owner_id, image_id]
+    _check_both_paths(cloud, plain, query_vector, data)
+
+    with tempfile.TemporaryDirectory() as root:
+        cloud.save_store(root)
+        for loader in (CloudNode.open_store, CloudNode.load_store):
+            _check_both_paths(loader(root, PARAMS), plain, query_vector, data)
+
+
+def test_columns_are_built_at_the_first_query_and_dropped_when_images_change():
+    cloud = make_cloud()
+    record = cloud.owner_record("owner-1")
+    assert record._columns is None
+    cloud.retrieve_top_h(query([2, 3, 4], h=2))
+    columns = record.columns()
+    assert columns.image_ids == ["img-a", "img-b", "img-c"]
+    assert columns.s1.dtype == columns.s2.dtype == np.int64
+    assert columns.s1.tolist() == [9, 10, 600] and columns.s2.tolist() == [29, 100, 120000]
+    cloud.apply_update("owner-1", DeleteImages(("img-b",)))
+    assert record._columns is None
+    assert record.columns().image_ids == ["img-a", "img-c"]
+
+
+def _edit_row(line, s1, s2):
+    def edit(text):
+        lines = text.splitlines(True)
+        owner_id, image_id, _, _ = lines[line - 1].split("\t")
+        lines[line - 1] = f"{owner_id}\t{image_id}\t{s1}\t{s2}\n"
+        return "".join(lines)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_row(2, 2**63, 29), "line 2: sums lie outside an edge histogram's range"),
+    (_edit_row(3, 20_401, 5_202_000), "line 3: sums lie outside an edge histogram's range"),
+    (_edit_row(4, 9, 5_202_001), "line 4: sums lie outside an edge histogram's range"),
+    (_edit_row(5, -1, 0), "line 5: sums lie outside an edge histogram's range"),
+    (_edit_row(2, 9, 0), "line 2: sums violate Cauchy-Schwarz"),
+], ids=["s1-2**63", "s1-20401", "s2-beyond", "s1-negative", "cauchy-schwarz"])
+@pytest.mark.parametrize("loader", ["load_store", "open_store"])
+def test_an_index_row_no_edge_histogram_has_is_refused(tmp_path, loader, edit, message):
+    make_cloud().save_store(tmp_path / "store")
+    index = tmp_path / "store" / "index.tsv"
+    index.write_text(edit(index.read_text()))
+    with pytest.raises(CorruptedSumsError, match=re.escape(f"{index}: {message}")):
+        getattr(CloudNode, loader)(tmp_path / "store", PARAMS)
+
+
+# one entry of 20,480 is beyond 80 * 255, so no edge histogram has its sums
+BEYOND_EHD = upload([20_480], b"beyond")
+
+
+def test_an_upload_no_edge_histogram_has_is_refused():
+    cloud = CloudNode(PARAMS)
+    with pytest.raises(CorruptedSumsError,
+                       match="sums for o1/big lie outside an edge histogram's range"):
+        cloud.register_owner("o1", [("alice", AK1)], [("big", enc_img(1), BEYOND_EHD)])
+    assert cloud.owner_ids == ()
+    cloud = make_cloud()
+    with pytest.raises(CorruptedSumsError, match="sums for owner-1/big lie outside"):
+        cloud.apply_update("owner-1", AddImages((("big", enc_img(1), BEYOND_EHD),)))
+    assert cloud.index == make_cloud().index
+
+
+@pytest.mark.parametrize("use_index", [True, False])
+def test_a_query_no_edge_histogram_has_is_refused(use_index):
+    envelope = QueryEnvelope(eq=BEYOND_EHD, uid="alice", ak=AK1)
+    with pytest.raises(CorruptedSumsError,
+                       match="query sums of user 'alice' lie outside an edge histogram's range"):
+        make_cloud().retrieve_top_h(envelope, use_index=use_index)
+
+
+def test_an_empty_image_id_in_an_update_is_refused_as_an_id():
+    cloud = make_cloud()
+    for command in (DeleteImages(("",)), DeleteImages(("img-a", "")),
+                    UpdateImages((("", enc_img(1), upload([1], b"e")),))):
+        with pytest.raises(ValueError, match="^image id '' must match "):
+            cloud.apply_update("owner-1", command)
+    assert cloud.index == make_cloud().index

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mipp import ehd_features
 from mipp.ehd_features import (
     EDGE_TYPES,
     FEATURE_DIMS,
@@ -183,3 +184,22 @@ def test_matches_per_cell_float_filters(m, n, kind, seed):
     f = extract_ehd(img)
     assert f.dtype == np.int64
     assert np.array_equal(f, per_cell_float_ehd(img))
+
+
+def test_geometry_cached_per_shape_gives_the_uncached_bins_and_is_read_only():
+    shapes = [(8, 8), (37, 53), (64, 64), (255, 257), (256, 256)]
+    rng = np.random.default_rng(11)
+    images = [rng.integers(0, 256, size=shape, dtype=np.uint8) for shape in shapes * 3]
+    uncached = []
+    for img in images:
+        ehd_features._geometry.cache_clear()
+        uncached.append(extract_ehd(img))
+    ehd_features._geometry.cache_clear()
+    for img, want in zip(images, uncached):  # the shapes interleave
+        assert np.array_equal(extract_ehd(img), want)
+    assert ehd_features._geometry.cache_info().misses == len(shapes)
+    for shape in shapes:
+        for array in ehd_features._geometry(*shape):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0

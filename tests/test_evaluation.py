@@ -293,6 +293,17 @@ def test_an_experiment_without_queries_is_refused_before_its_world(monkeypatch):
         run_retrieval_experiment(corpus, [], PARAMS)
 
 
+def test_an_experiment_asking_for_no_results_is_refused_before_any_owner(monkeypatch):
+    def no_owner(*args, **kwargs):
+        raise AssertionError("an owner was added")
+
+    monkeypatch.setattr(evaluation.World, "add_owner", no_owner)
+    corpus = synth_corpus(TINY, owners=2, seed=b"no-results")
+    queries = synth_queries(TINY, per_category=1, seed=b"no-results")
+    with pytest.raises(ValueError, match="^result count h must be >= 1$"):
+        run_retrieval_experiment(corpus, queries, PARAMS, h=0)
+
+
 def test_bench_storage_report(small_bench):
     storage = small_bench.storage
     assert storage.n_features == 500

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipp.feature_crypto import encrypt_feature_pair, recover_sums
 from mipp.group_crypto import gen_group_params
@@ -12,6 +15,7 @@ from mipp.similarity import (
     new_dis,
     rank_key,
     sim_from_sums,
+    top_h,
 )
 
 
@@ -131,3 +135,21 @@ def test_rankings_can_diverge_between_distances():
     x, y, z = [4, 0, 0], [4, 2, 0], [2, 2, 0]
     assert euc_dis(x, y) < euc_dis(x, z)
     assert new_dis(x, y) > new_dis(x, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sums=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=30),
+    query=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    data=st.data(),
+)
+def test_top_h_equals_sorted_keys_and_positions(sums, query, data):
+    # sums in 0..3 make most keys tie; equal keys go by position
+    q = SumPair(s1=query[0], s2=query[1], l=4)
+    h = data.draw(st.integers(1, len(sums) + 2))
+    s1 = np.array([a for a, _ in sums], dtype=np.int64)
+    s2 = np.array([b for _, b in sums], dtype=np.int64)
+    want = sorted((rank_key(q, SumPair(a, b, 4)), k) for k, (a, b) in enumerate(sums))[:h]
+    got = top_h(q, s1, s2, h)
+    assert got == want
+    assert all(type(key) is int and type(k) is int for key, k in got)
