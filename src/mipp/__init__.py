@@ -11,6 +11,8 @@ simulation tying them together (``protocol_sim``), and the evaluation
 harness plus its CLI (``evaluation``, ``cli``).
 """
 
+import logging
+
 from .cloud_node import (
     AddImages,
     AuthorizationError,
@@ -37,6 +39,10 @@ from .protocol_sim import World, decode_message, encode_message
 from .similarity import SumPair, euc_dis, new_dis, sim_from_sums
 
 __version__ = "0.1.0"
+
+# a library's records reach only the handlers its application installs, so
+# an unconfigured program prints no warning beside its one-line refusal
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "AddImages",

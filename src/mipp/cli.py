@@ -12,12 +12,14 @@ directory is given.  Reports are TSV on stdout, mirrored to ``--out``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import evaluation, group_crypto
-from .cloud_node import (DEFAULT_TOP_H, AddImages, AuthorizationError, CloudError, CloudNode,
-                         DeleteImages, UpdateImages, credential_line, read_credentials, read_framed)
+from .cloud_node import (DEFAULT_TOP_H, TOP_H_BOUND, AddImages, AuthorizationError, CloudError,
+                         CloudNode, DeleteImages, UpdateImages, credential_line, framed_text,
+                         read_credentials, read_framed)
 from .ehd_features import extract_ehd
 # image_enc is not called here; it stays bound so that instrumentation
 # which wraps this module's names finds every one of them.
@@ -47,15 +49,35 @@ def _load_store(store: Path):
     return params, cloud, kmc, users
 
 
-def _require_top_h(args) -> None:
-    """Refuse a result count below 1 before any work."""
-    if args.top_h < 1:
-        raise ValueError(f"--top-h must be >= 1, not {args.top_h}")
+# each numeric flag's range [least, bound); --queries-per-category and
+# --sizes are refused by the experiment and the benchmark they feed
+_FLAG_RANGES = {
+    "bits": (group_crypto.MIN_SECURITY_BITS, math.inf),
+    "owners": (1, math.inf),
+    "top_h": (1, TOP_H_BOUND),
+    "reps": (1, math.inf),
+}
+
+
+def _require_flag_ranges(args) -> None:
+    """Refuse a numeric flag outside its range, naming the flag, before any work."""
+    for name, (least, bound) in _FLAG_RANGES.items():
+        value = vars(args).get(name)
+        if value is None:  # a flag this command does not take
+            continue
+        flag = "--" + name.replace("_", "-")
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, not {value}")
+        if value >= bound:
+            raise ValueError(f"{flag} must be < {bound}, not {value}")
 
 
 def _next_session(store: Path) -> int:
     counter_file = store / "session.counter"
-    value = int(counter_file.read_text()) if counter_file.exists() else 0
+    try:
+        value = int(counter_file.read_text()) if counter_file.exists() else 0
+    except ValueError as exc:  # not an integer, or not UTF-8
+        raise ValueError(f"{counter_file}: {exc}") from None
     counter_file.write_text(str(value + 1))
     return value
 
@@ -99,7 +121,7 @@ def cmd_ingest(args) -> int:
     group_crypto.save_params(params, store / "params.txt")
     cloud.save_store(store / "cloud")
     kmc.save_vault(store / "vault")
-    (store / "users.tsv").write_text(f"{USERS_HEADER}\n{credential_line(args.user, ak)}\n")
+    (store / "users.tsv").write_text(framed_text(USERS_HEADER, [credential_line(args.user, ak)]))
     print(f"ingested {len(corpus.items)} images from "
           f"{len(corpus.categories)} categories into {store} "
           f"({len(owners)} owners, index rows: {rows})")
@@ -107,7 +129,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_query(args) -> int:
-    _require_top_h(args)
     store = Path(args.store)
     params, cloud, kmc, users = _load_store(store)
     uid, ak = next(iter(users.items()))
@@ -138,7 +159,6 @@ def cmd_query(args) -> int:
 
 
 def _eval_inputs(args):
-    _require_top_h(args)
     seed = args.seed.encode()
     if args.corpus:
         corpus = evaluation.load_corpus(args.corpus, owners=args.owners)
@@ -175,7 +195,10 @@ def cmd_leakage(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ValueError(f"--sizes must be comma-separated integers, not {args.sizes!r}") from None
     report = evaluation.bench(sizes, seed=args.seed.encode(), reps=args.reps)
     text = evaluation.bench_tsv(report)
     if not report.rankings_match:
@@ -188,6 +211,10 @@ def cmd_update(args) -> int:
     for flag in ("add", "delete", "reencrypt"):
         if getattr(args, flag) == "":
             raise ValueError(f"--{flag} needs a value")
+    if args.add is not None:
+        added = sorted(Path(args.add).glob("*.pgm"))
+        if not added:
+            raise ValueError(f"--add: {args.add} is not a directory holding a .pgm file")
     store = Path(args.store)
     params, cloud, kmc, _ = _load_store(store)
     seed = args.seed.encode()
@@ -195,7 +222,7 @@ def cmd_update(args) -> int:
 
     if args.add is not None:
         items = []
-        for path in sorted(Path(args.add).glob("*.pgm")):
+        for path in added:
             image = read_pgm(path)[0]
             try:
                 uploads, _ = encrypt_uploads(params, sk, [(path.stem, image)], seed, "add:")
@@ -294,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _require_flag_ranges(args)
         return args.func(args)
     except (CloudError, VaultError, ValueError, OSError) as exc:  # the program's refusals
         print(exc, file=sys.stderr)

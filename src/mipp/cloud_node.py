@@ -31,14 +31,16 @@ the records, so no retrieval ever observes a half-applied update.
 
 On disk a cloud is ``index.tsv`` plus ``owners/<id>/`` with a manifest,
 ``img/<image>.pgm`` and ``feat/<image>.eft``; ``index.tsv`` and each
-manifest are a header line and then records, read by ``read_framed``.
-``open_store`` reads only the index, the manifests and the ``img/`` and
-``feat/`` listings; each image then reads its pixels and its feature the
-first time they are used, under the lock, so a query reads the h images it
-returns and no ``.eft``.  ``load_store`` is ``open_store`` followed by
-reading every image.  ``save_store`` reads every record before it rewrites
-``owners/``, so a store that was opened refuses a malformed file there,
-naming it, before anything is written.
+manifest, like the key center's ``vault`` and the store's ``users.tsv``,
+are a header line and then records, written by ``framed_text`` and read by
+``read_framed``.  ``open_store`` reads only the index, the manifests and
+the ``img/`` and ``feat/`` listings; each image then reads its pixels and
+its feature the first time they are used, under the lock, so a query reads
+the h images it returns and no ``.eft``.  One pass, ``_read_images``,
+reads every kept image: ``save_store`` writes from what it returns, and
+``load_store`` is ``open_store`` followed by that pass.  So a store that
+was opened refuses a malformed file in ``owners/``, naming it, before
+``save_store`` writes anything.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ INDEX_HEADER = "owner_id\timage_id\ts1\ts2"
 MANIFEST_HEADER = "MIPP-OWNER-1"
 
 DEFAULT_TOP_H = 100  # results a query asks for unless it says otherwise
+TOP_H_BOUND = 2**32  # h < TOP_H_BOUND: the wire carries a query's result count in 32 bits
 
 _SAFE_ID = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -204,8 +207,7 @@ class QueryEnvelope:
     h: int = DEFAULT_TOP_H
 
     def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("result count h must be >= 1")
+        require_top_h(self.h)
 
 
 @dataclass(frozen=True)
@@ -233,6 +235,14 @@ class UpdateImages:
     items: tuple[tuple[str, np.ndarray, EncryptedFeature], ...]
 
 
+def require_top_h(h: int) -> None:
+    """Refuse a result count outside [1, ``TOP_H_BOUND``)."""
+    if h < 1:
+        raise ValueError("result count h must be >= 1")
+    if h >= TOP_H_BOUND:
+        raise ValueError(f"result count h must be < {TOP_H_BOUND}")
+
+
 def _check_id(value: str, what: str) -> None:
     if not _SAFE_ID.match(value):
         raise ValueError(f"{what} {value!r} must match {_SAFE_ID.pattern}")
@@ -243,9 +253,18 @@ def credential_line(key_id: str, key: bytes) -> str:
     return f"{key_id}\t{key.hex()}"
 
 
+def framed_text(header: str, records: Iterable[str]) -> str:
+    """The text of a header-framed store file: ``header``, then one record
+    per line, each line ended by a newline; ``read_framed`` reads it back."""
+    return "\n".join([header, *records]) + "\n"
+
+
 def read_framed(path: str | Path, header: str) -> list[str]:
     """The lines of store file ``path`` after its first, which must be ``header``."""
-    lines = Path(path).read_text().strip().splitlines()
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not lines or lines[0] != header:
         raise ValueError(f"{path}: missing or malformed header")
     return lines[1:]
@@ -418,9 +437,8 @@ class CloudNode:
 
     def index_table(self) -> str:
         """The retrieval index as the text of ``index.tsv``."""
-        lines = [INDEX_HEADER]
-        lines += [f"{e.owner_id}\t{e.image_id}\t{e.s1}\t{e.s2}" for e in self.index]
-        return "\n".join(lines) + "\n"
+        return framed_text(INDEX_HEADER,
+                           (f"{e.owner_id}\t{e.image_id}\t{e.s1}\t{e.s2}" for e in self.index))
 
     # -- on-disk layout ----------------------------------------------------
 
@@ -434,13 +452,7 @@ class CloudNode:
         """
         root = Path(root)
         with self._lock:
-            index = self.index_table()
-            owners = [
-                (owner_id, sorted(record.aul),
-                 [(image_id, stored.enc_image, stored.feature)
-                  for image_id, stored in sorted(record.images.items())])
-                for owner_id, record in sorted(self._owners.items())
-            ]
+            index, owners = self.index_table(), self._read_images()
         root.mkdir(parents=True, exist_ok=True)
         if (root / "owners").exists():
             shutil.rmtree(root / "owners")
@@ -450,14 +462,24 @@ class CloudNode:
             base = root / "owners" / owner_id
             (base / "img").mkdir(parents=True, exist_ok=True)
             (base / "feat").mkdir(parents=True, exist_ok=True)
-            manifest = [MANIFEST_HEADER, owner_id]
-            manifest += [credential_line(uid, ak) for uid, ak in aul]
-            (base / "manifest").write_text("\n".join(manifest) + "\n")
+            (base / "manifest").write_text(framed_text(
+                MANIFEST_HEADER, [owner_id, *(credential_line(uid, ak) for uid, ak in aul)]))
             for image_id, enc_image, feature in images:
                 write_pgm(base / "img" / f"{image_id}.pgm", enc_image, encrypted=True)
                 (base / "feat" / f"{image_id}.eft").write_text(
                     feature_crypto.feature_to_text(feature)
                 )
+
+    def _read_images(self) -> list[tuple[str, list, list]]:
+        """Each owner's id, sorted users and sorted (image id, pixels,
+        feature), every image read under the lock: what ``save_store`` writes."""
+        with self._lock:
+            return [
+                (owner_id, sorted(record.aul),
+                 [(image_id, stored.enc_image, stored.feature)
+                  for image_id, stored in sorted(record.images.items())])
+                for owner_id, record in sorted(self._owners.items())
+            ]
 
     @classmethod
     def open_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
@@ -510,12 +532,10 @@ class CloudNode:
 
     @classmethod
     def load_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
-        """``open_store``, then read every image's pixels and feature; no
-        command uses it, since ``save_store`` reads every image it keeps."""
+        """``open_store``, then read every image's pixels and feature as
+        ``save_store`` does; no command uses it."""
         node = cls.open_store(root, params)
-        for record in node._owners.values():
-            record.store({image_id: StoredImage(stored.enc_image, stored.feature, stored.row)
-                          for image_id, stored in record.images.items()})
+        node._read_images()
         return node
 
 

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import feature_crypto, group_crypto
-from .cloud_node import DEFAULT_TOP_H, CloudNode, QueryEnvelope
+from .cloud_node import DEFAULT_TOP_H, CloudNode, QueryEnvelope, require_top_h
 from .ehd_features import FEATURE_DIMS, GRID, extract_ehd
 from .group_crypto import GroupParams
 from .image_cipher import read_pgm, write_pgm
@@ -84,6 +84,8 @@ class LabeledCorpus:
 
 
 def _owner_ids(count: int) -> list[str]:
+    if count < 1:
+        raise ValueError("owner count must be >= 1")
     return [f"owner-{i + 1}" for i in range(count)]
 
 
@@ -95,15 +97,13 @@ def load_corpus(root: str | Path, owners: int = 3) -> LabeledCorpus:
     files are collected and reported together.
     """
     root = Path(root)
-    if owners < 1:
-        raise ValueError("owner count must be >= 1")
+    ids = _owner_ids(owners)
     category_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if not category_dirs:
         log.warning("corpus root %s has no category directories", root)
         return LabeledCorpus(items=(), categories=())
 
     errors: list[str] = []
-    ids = _owner_ids(owners)
     items: list[CorpusItem] = []
     position = 0
     for cat_dir in category_dirs:
@@ -397,8 +397,7 @@ def run_retrieval_experiment(
         raise ValueError("corpus is empty")
     if not queries:
         raise ValueError("no queries to run")
-    if h < 1:
-        raise ValueError("result count h must be >= 1")
+    require_top_h(h)
     max_pixels = max(item.image.size for item in corpus.items)
     world = World(params, seed, top_h=h, max_image_pixels=max_pixels)
     world.add_user(EVAL_USER)
@@ -587,26 +586,23 @@ def bench(
     full = build_cloud(largest)
     rows = []
     rankings_match = True
-    try:
-        for size in sizes:
-            cloud = full if size == largest else build_cloud(size)
-            for mode in modes:
-                timings = []
-                result = None
-                for _ in range(reps):
-                    start = time.perf_counter()
-                    result = run(mode, size, cloud)
-                    timings.append(time.perf_counter() - start)
-                rows.append(
-                    BenchRow(size=size, mode=mode,
-                             median_seconds=statistics.median(timings), reps=reps)
+    for size in sizes:
+        cloud = full if size == largest else build_cloud(size)
+        for mode in modes:
+            timings = []
+            result = None
+            for _ in range(reps):
+                start = time.perf_counter()
+                result = run(mode, size, cloud)
+                timings.append(time.perf_counter() - start)
+            rows.append(
+                BenchRow(size=size, mode=mode,
+                         median_seconds=statistics.median(timings), reps=reps)
+            )
+            if mode == "enc_no_index" and "enc_with_index" in modes:
+                rankings_match = rankings_match and result == run(
+                    "enc_with_index", size, cloud
                 )
-                if mode == "enc_no_index" and "enc_with_index" in modes:
-                    rankings_match = rankings_match and result == run(
-                        "enc_with_index", size, cloud
-                    )
-    except KeyboardInterrupt:
-        log.warning("benchmark interrupted; reporting %d completed rows", len(rows))
 
     storage = StorageReport(
         n_features=largest,

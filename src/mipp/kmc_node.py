@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cloud_node import credential_line, read_credentials, read_framed
+from .cloud_node import credential_line, framed_text, read_credentials, read_framed
 from .image_cipher import image_dec, image_enc
 
 VAULT_HEADER = "MIPP-VAULT-1"
@@ -127,12 +127,12 @@ class KmcNode:
 
     def save_vault(self, path: str | Path) -> None:
         """Write owner keys hex-encoded; session keys are never written."""
-        lines = [VAULT_HEADER]
-        lines += [credential_line(oid, sk) for oid, sk in sorted(self._owner_keys.items())]
+        text = framed_text(VAULT_HEADER, (credential_line(oid, sk)
+                                          for oid, sk in sorted(self._owner_keys.items())))
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         with open(fd, "w") as fh:
             os.fchmod(fd, 0o600)  # os.open's mode does not apply to an existing file
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
 
     @classmethod
     def load_vault(cls, path: str | Path) -> "KmcNode":

@@ -1,9 +1,14 @@
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mipp
 from mipp import cloud_node, feature_crypto
 from mipp.cli import main
 from mipp.cloud_node import CloudNode, DeleteImages
@@ -481,6 +486,10 @@ def _corpus_with(root, make):
     make(cat)
 
 
+def _not_utf8(path):
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
 def _edit_first_index_row(store, s1):
     index = store / "cloud" / "index.tsv"
     header, first, rest = index.read_text().split("\n", 2)
@@ -498,12 +507,22 @@ _PREPARE = {
     "tiny-in-corpus": lambda store, tmp: _corpus_with(tmp / "corpus", _tiny_pgm),
     "empty-corpus": lambda store, tmp: (tmp / "corpus" / "cat").mkdir(parents=True),
     "sum-beyond-ehd": lambda store, tmp: _edit_first_index_row(store, s1=2**63),
+    "empty-add-dir": lambda store, tmp: (tmp / "add").mkdir(),
+    "counter-not-an-integer": lambda store, tmp: (store / "session.counter").write_text("x\n"),
+    "users-not-utf8": lambda store, tmp: _not_utf8(store / "users.tsv"),
+    "vault-not-utf8": lambda store, tmp: _not_utf8(store / "vault"),
+    "index-not-utf8": lambda store, tmp: _not_utf8(store / "cloud" / "index.tsv"),
+    "manifest-not-utf8": lambda store, tmp: _not_utf8(
+        store / "cloud" / "owners" / "owner-1" / "manifest"),
 }
 
 _QUERY = ["query", "--store", "{store}", "--image", "{query}"]
 _UPDATE = ["update", "--store", "{store}", "--owner", "owner-1"]
 _INGEST = ["ingest", "--corpus", "{tmp}/corpus", "--store", "{tmp}/new"]
 _TOO_SMALL = "4x4 image too small for a 4x4 grid of 2x2 blocks"
+_TOO_MANY = "--top-h must be < 4294967296, not 4294967296"
+_NO_PGM = "--add: {} is not a directory holding a .pgm file"
+_NOT_UTF8 = "{store}/%s: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 @pytest.mark.parametrize("prepare, argv, message", [
@@ -533,11 +552,38 @@ _TOO_SMALL = "4x4 image too small for a 4x4 grid of 2x2 blocks"
      "no queries to run"),
     (None, ["bench", "--sizes", "0", "--reps", "1"],
      "sizes must be non-empty, ascending and >= 1"),
+    (None, _QUERY + ["--top-h", "4294967296"], _TOO_MANY),
+    (None, ["eval", "--top-h", "4294967296"], _TOO_MANY),
+    (None, ["leakage", "--top-h", "4294967296"], _TOO_MANY),
+    (None, ["eval", "--owners", "0"], "--owners must be >= 1, not 0"),
+    (None, ["ingest", "--corpus", "{corpus}", "--store", "{tmp}/new", "--owners", "0"],
+     "--owners must be >= 1, not 0"),
+    (None, ["gen-params", "--bits", "8", "--out", "{tmp}/new"], "--bits must be >= 16, not 8"),
+    (None, ["bench", "--reps", "0"], "--reps must be >= 1, not 0"),
+    (None, ["bench", "--sizes", "5,x"], "--sizes must be comma-separated integers, not '5,x'"),
+    (None, _UPDATE + ["--add", "{tmp}/no-such-dir"], _NO_PGM.format("{tmp}/no-such-dir")),
+    (None, _UPDATE + ["--add", "{store}/params.txt"], _NO_PGM.format("{store}/params.txt")),
+    ("empty-add-dir", _UPDATE + ["--add", "{tmp}/add"], _NO_PGM.format("{tmp}/add")),
+    ("counter-not-an-integer", _QUERY,
+     "{store}/session.counter: invalid literal for int() with base 10: 'x\\n'"),
+    ("users-not-utf8", _QUERY, _NOT_UTF8 % "users.tsv"),
+    ("vault-not-utf8", _QUERY, _NOT_UTF8 % "vault"),
+    ("index-not-utf8", _QUERY, _NOT_UTF8 % "cloud/index.tsv"),
+    ("manifest-not-utf8", _QUERY, _NOT_UTF8 % "cloud/owners/owner-1/manifest"),
+    (None, ["ingest", "--corpus", "{corpus}", "--store", "{tmp}/new", "--params",
+            "{store}/users.tsv"], "{store}/users.tsv: missing MIPP-PARAMS-1 header"),
+    (None, ["eval", "--queries-per-category", "0"], "no queries to run"),
+    (None, ["leakage", "--queries-per-category", "0"], "no queries to run"),
 ], ids=["malformed-store-file", "sum-beyond-ehd", "top-h-zero", "bad-image",
         "authorized-by-no-owner", "bad-add-file", "unknown-owner", "empty-add", "empty-delete",
         "empty-reencrypt", "bad-corpus-file", "too-small-corpus-file", "nothing-to-ingest",
         "eval-no-queries", "eval-top-h-zero", "leakage-top-h-zero", "empty-id-in-delete",
-        "leakage-no-queries", "bench-size-0"])
+        "leakage-no-queries", "bench-size-0", "query-top-h-beyond-u32", "eval-top-h-beyond-u32",
+        "leakage-top-h-beyond-u32", "eval-owners-0", "ingest-owners-0", "bits-below-16",
+        "bench-reps-0", "bench-size-not-an-integer", "add-missing-dir", "add-plain-file",
+        "add-dir-without-pgm", "counter-not-an-integer", "users-not-utf8", "vault-not-utf8",
+        "index-not-utf8", "manifest-not-utf8", "ingest-bad-params-file",
+        "eval-synthetic-no-queries", "leakage-synthetic-no-queries"])
 def test_no_refusal_ends_in_a_traceback(
     store_dir, corpus_dir, tmp_path, capsys, prepare, argv, message
 ):
@@ -546,7 +592,7 @@ def test_no_refusal_ends_in_a_traceback(
     (store / "session.counter").write_text("5")
     if prepare:
         _PREPARE[prepare](store, tmp_path)
-    before = _tree(store)
+    counter, before = (store / "session.counter").read_text(), _tree(store)
     names = dict(store=store, tmp=tmp_path, corpus=corpus_dir,
                  query=sorted((corpus_dir / "cat00").glob("*.pgm"))[0])
     capsys.readouterr()
@@ -556,4 +602,19 @@ def test_no_refusal_ends_in_a_traceback(
     assert captured.out == ""
     assert _tree(store) == before and not (tmp_path / "new").exists()
     if prepare != "stranger":  # authorization is checked after the session starts
-        assert (store / "session.counter").read_text() == "5"
+        assert (store / "session.counter").read_text() == counter
+
+
+@pytest.mark.parametrize("command", [["ingest", "--store", "{tmp}/new"], ["eval"]],
+                         ids=["ingest", "eval"])
+def test_an_empty_corpus_is_refused_in_one_line_by_the_program(tmp_path, command):
+    # a fresh interpreter, where no test harness holds logging's handlers
+    (tmp_path / "corpus" / "cat").mkdir(parents=True)
+    argv = [a.format(tmp=tmp_path) for a in command] + ["--corpus", str(tmp_path / "corpus")]
+    src = str(Path(mipp.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-m", "mipp.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr

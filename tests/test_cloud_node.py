@@ -182,9 +182,10 @@ def test_h_truncates():
     assert len(cloud.retrieve_top_h(query([1, 2, 3], h=2))) == 2
 
 
-def test_invalid_h_rejected():
+@pytest.mark.parametrize("h", [0, 2**32])  # the wire carries h in 32 bits
+def test_invalid_h_rejected(h):
     with pytest.raises(ValueError):
-        QueryEnvelope(eq=upload([1, 2, 3], b"q"), uid="u", ak=b"k", h=0)
+        QueryEnvelope(eq=upload([1, 2, 3], b"q"), uid="u", ak=b"k", h=h)
 
 
 def test_deterministic_ranking_with_ties():

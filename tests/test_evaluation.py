@@ -52,6 +52,15 @@ def test_owner_assignment_is_balanced_round_robin():
     assert set(counts.values()) <= {math.floor(40 / 3), math.ceil(40 / 3)}
 
 
+@pytest.mark.parametrize("make", [
+    lambda root: load_corpus(root, owners=0),
+    lambda root: synth_corpus(TINY, owners=0),
+], ids=["load", "synth"])
+def test_a_corpus_for_no_owner_is_refused(tmp_path, make):
+    with pytest.raises(ValueError, match="^owner count must be >= 1$"):
+        make(tmp_path)
+
+
 def test_corpus_directory_roundtrip(tmp_path):
     corpus = synth_corpus(TINY, owners=2, seed=b"disk")
     write_corpus(corpus, tmp_path / "corpus")
@@ -302,6 +311,16 @@ def test_an_experiment_asking_for_no_results_is_refused_before_any_owner(monkeyp
     queries = synth_queries(TINY, per_category=1, seed=b"no-results")
     with pytest.raises(ValueError, match="^result count h must be >= 1$"):
         run_retrieval_experiment(corpus, queries, PARAMS, h=0)
+
+
+def test_an_interrupted_bench_raises_rather_than_reporting(monkeypatch):
+    # a partial report would claim the two encrypted paths agreed on sizes never compared
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evaluation, "rank_by_euclidean", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        bench([5], params=PARAMS, reps=1)
 
 
 def test_bench_storage_report(small_bench):

@@ -110,6 +110,15 @@ def test_text_roundtrip(params):
     assert feature_from_text(text) == enc
 
 
+@pytest.mark.parametrize("text, message", [
+    ("MIPP-EFT-1\n1,2\n3,4\n", "missing params id in header"),
+    ("MIPP-EFT-1 params=ab\n1,x\n3,4\n", "non-decimal ciphertext entry"),
+], ids=["no-params-id", "non-decimal-entry"])
+def test_a_malformed_feature_file_is_refused(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        feature_from_text(text)
+
+
 def test_text_rejects_malformed(params):
     enc = encrypt_feature_pair(params, [7, 1, 200], b"bad")
     text = feature_to_text(enc)

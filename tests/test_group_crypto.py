@@ -202,6 +202,22 @@ def test_validate_rejects_inconsistent_params(tiny_params):
         params_from_text("\n".join(lines) + "\n")
 
 
+# records after the header: p, q, g1, g2, security_bits; each fault is
+# refused before g2 and security_bits are compared with what p, q and g1 give
+@pytest.mark.parametrize("fields, message", [
+    (["25", "3", "4", "0", "2"], "p is not prime"),
+    (["23", "22", "4", "0", "5"], "q is not prime"),
+    (["23", "7", "4", "0", "3"], "q does not divide p - 1"),
+    (["23", "11", "5", "0", "4"], "g1 does not lie in the q-order subgroup"),
+    (["23", "11", "4", "0"], "expected exactly five fields after the header"),
+    (["23", "11", "4", "0x10", "4"], "non-decimal field in parameter record"),
+], ids=["composite-p", "composite-q", "q-not-dividing", "g1-outside-subgroup",
+        "four-fields", "non-decimal-field"])
+def test_a_params_record_that_is_no_group_is_refused(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        params_from_text("\n".join(["MIPP-PARAMS-1", *fields]) + "\n")
+
+
 def test_params_id_tracks_content(tiny_params, test_params):
     assert tiny_params.params_id != test_params.params_id
     assert tiny_params.params_id == params_from_primes(23, 11, 2).params_id

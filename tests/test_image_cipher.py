@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,18 @@ def test_pgm_encrypted_flag(tmp_path):
     back, encrypted = read_pgm(path)
     assert encrypted
     assert np.array_equal(back, img)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n# no end", "unterminated comment"),
+    (b"P5\n4 x\n255\n", "bad PGM header token"),
+    (b"P5\n1 1\n65535\n\0\0", "only maxval 255 supported"),
+], ids=["unterminated-comment", "non-numeric-token", "maxval-not-255"])
+def test_a_pgm_header_fault_names_the_file(tmp_path, data, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        read_pgm(path)
 
 
 def test_pgm_rejects_garbage(tmp_path):
