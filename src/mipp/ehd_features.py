@@ -15,9 +15,15 @@ the real-valued filters do: a diagonal response sqrt(2)*k never equals an
 integer response j > 0 or the threshold, and when the two diagonals tie
 (|a-d| = |b-c| = k > 0) the vertical or horizontal response is 2k and wins.
 
+The decision is one maximum over packed keys 8*score + tag, starting from
+the threshold's key 8*121 + 7; the other tags are vertical 6, horizontal 5,
+45 degree 4, 135 degree 3 and non-directional 2.  A larger score gives a
+larger key, and equal scores fall to the larger tag: the earlier filter, or
+the threshold over a filter scoring 121.  No key exceeds 8*4*510^2+2 < 2^31.
+
 Which pixels form blocks, and which cell each block counts in, depends only
 on the image's shape; ``_geometry`` derives it once per shape and keeps it
-in a bounded cache as read-only arrays.
+in a bounded cache as read-only arrays of O(m + n) size.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ GRID = 4
 EDGE_THRESHOLD = 11
 BIN_MAX = 255  # the largest bin value
 FEATURE_DIMS = GRID * GRID * len(EDGE_TYPES)
-_NO_EDGE = len(EDGE_TYPES)
-_SLOTS = _NO_EDGE + 1  # per cell: one count per edge type, then the blocks with no edge
+_SLOTS = 8  # per cell: one count per key tag, so a key's tag is its low three bits
+_TAGS = (6, 5, 4, 3, 2)  # one per edge type, in EDGE_TYPES order
 
 
 class ImageTooSmallError(ValueError):
@@ -40,34 +46,33 @@ class ImageTooSmallError(ValueError):
 
 
 def _block_axis(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both pixel positions of every whole block along one axis, and its cell.
+    """Each cell's run of whole blocks along one axis, (start, stop), and block count.
 
     Cells start at ``length // GRID * c`` and the last one takes the
     remainder; blocks tile each cell from its start, so an odd pixel left at
     a cell's end belongs to no block.
     """
     step = length // GRID
-    pos = np.arange(length - 1)
-    cell = np.minimum(pos // step, GRID - 1)
-    offset = pos - cell * step
-    size = np.where(cell == GRID - 1, length - (GRID - 1) * step, step)
-    first = (offset % 2 == 0) & (offset + 1 < size)
-    return np.stack([pos[first], pos[first] + 1], axis=1).ravel(), cell[first]
+    start = np.arange(GRID) * step
+    blocks = np.append(np.full(GRID - 1, step), length - (GRID - 1) * step) // 2
+    return np.stack([start, start + 2 * blocks], axis=1), blocks
 
 
 @functools.lru_cache(maxsize=64)
-def _geometry(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For an m x n image: the block rows' and columns' pixel positions,
-    each block's first count slot (its cell times ``_SLOTS``), and every
-    cell's block count as a column; all read-only."""
-    rows, row_cell = _block_axis(m)
-    cols, col_cell = _block_axis(n)
-    slot = (row_cell[:, None] * GRID + col_cell) * _SLOTS
-    blocks = np.outer(np.bincount(row_cell, minlength=GRID),
-                      np.bincount(col_cell, minlength=GRID)).reshape(-1, 1)
-    for array in (rows, cols, slot, blocks):
+def _geometry(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """For an m x n image, all read-only: the rows that blocks cover, the column
+    runs of whole blocks (copied as slices, since ``take`` along a row moves one
+    pixel at a time), each block row's and block column's part of its cell's
+    first count slot, and every cell's block count as a column."""
+    (row_runs, row_blocks), (col_runs, col_blocks) = _block_axis(m), _block_axis(n)
+    rows = np.concatenate([np.arange(start, stop) for start, stop in row_runs])
+    row_slot = np.repeat(np.arange(GRID, dtype=np.int32) * GRID * _SLOTS, row_blocks)[:, None]
+    col_slot = np.repeat(np.arange(GRID, dtype=np.int32) * _SLOTS, col_blocks)
+    blocks = np.outer(row_blocks, col_blocks).reshape(-1, 1)
+    geometry = (rows, col_runs, row_slot, col_slot, blocks)
+    for array in geometry:
         array.flags.writeable = False
-    return rows, cols, slot, blocks
+    return geometry
 
 
 def extract_ehd(img: np.ndarray) -> np.ndarray:
@@ -81,19 +86,24 @@ def extract_ehd(img: np.ndarray) -> np.ndarray:
             f"{m}x{n} image too small for a {GRID}x{GRID} grid of 2x2 blocks"
         )
 
-    rows, cols, slot, blocks = _geometry(m, n)
-    px = arr.take(rows, axis=0).take(cols, axis=1).astype(np.int32)
-    a, b, c, d = px[0::2, 0::2], px[0::2, 1::2], px[1::2, 0::2], px[1::2, 1::2]
-    ad, bc = a - d, b - c
-    scores = (
-        (ad - bc) ** 2, (ad + bc) ** 2, 2 * ad**2, 2 * bc**2, 4 * (a - b - c + d) ** 2
-    )
-    # a filter wins where it beats the threshold and every earlier filter
-    best = np.full(a.shape, EDGE_THRESHOLD**2, dtype=np.int32)
-    kind = np.full(a.shape, _NO_EDGE, dtype=np.int8)
-    for k, score in enumerate(scores):
-        kind = np.where(score > best, k, kind)
-        best = np.maximum(best, score)
-
-    counts = np.bincount((slot + kind).ravel(), minlength=GRID * GRID * _SLOTS)
-    return (BIN_MAX * counts.reshape(-1, _SLOTS)[:, :_NO_EDGE] // blocks).ravel()
+    rows, col_runs, row_slot, col_slot, blocks = _geometry(m, n)
+    px = arr.take(rows, axis=0)
+    px = np.concatenate([px[:, start:stop] for start, stop in col_runs], axis=1)
+    quads = px.reshape(len(row_slot), 2, -1, 2).transpose(1, 3, 0, 2).astype(np.int32, order="C")
+    # each block's four pixels; the responses overwrite them in place, within the cache
+    (a, b), (c, d) = quads
+    nondirectional = a - b - c + d
+    a -= d  # 45 degree
+    b -= c  # 135 degree
+    np.subtract(a, b, out=c)  # vertical
+    np.add(a, b, out=d)  # horizontal
+    key = np.full_like(a, _SLOTS * EDGE_THRESHOLD**2 + _SLOTS - 1)  # the threshold's key
+    for response, weight, tag in zip((c, d, a, b, nondirectional), (1, 1, 2, 2, 4), _TAGS):
+        response *= response
+        response *= _SLOTS * weight
+        response += tag
+        np.maximum(key, response, out=key)
+    key &= _SLOTS - 1
+    key += row_slot + col_slot
+    counts = np.bincount(key.ravel(), minlength=GRID * GRID * _SLOTS).reshape(-1, _SLOTS)
+    return (BIN_MAX * counts[:, _TAGS] // blocks).ravel()

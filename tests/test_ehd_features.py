@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 
 from mipp import ehd_features
 from mipp.ehd_features import (
+    BIN_MAX,
+    EDGE_THRESHOLD,
     EDGE_TYPES,
     FEATURE_DIMS,
+    GRID,
     ImageTooSmallError,
     extract_ehd,
 )
@@ -203,3 +207,66 @@ def test_geometry_cached_per_shape_gives_the_uncached_bins_and_is_read_only():
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array.flat[0] = 0
+
+
+def docstring_scores(a, b, c, d):
+    """The module docstring's integer scores of a block, in EDGE_TYPES order."""
+    return [(a - b + c - d) ** 2, (a + b - c - d) ** 2, 2 * (a - d) ** 2,
+            2 * (b - c) ** 2, 4 * (a - b - c + d) ** 2]
+
+
+def docstring_rule(a, b, c, d):
+    """One block's edge type by the docstring's scores, ties to the earlier filter, or None."""
+    scores = docstring_scores(a, b, c, d)
+    best = max(scores)
+    return scores.index(best) if best > EDGE_THRESHOLD**2 else None
+
+
+def test_every_tie_and_threshold_case_is_decided_block_by_block():
+    # every (a, b, c, d) over an alphabet with responses of exactly 11, diagonal
+    # ties, vertical = horizontal and a non-directional response equal to a
+    # directional one; an 8x8 image has one block per cell, so each cell's bins
+    # name that block's decision
+    alphabet = [0, 1, 5, 6, 11, 12, 16, 17, 22, 255]
+    quads = np.array(list(itertools.product(alphabet, repeat=4)))
+    scores = np.stack(docstring_scores(*quads.T), axis=1)
+    edge, best = EDGE_THRESHOLD**2, scores.max(axis=1)
+    assert np.any(best == edge)
+    assert np.any((scores[:, 2] == scores[:, 3]) & (scores[:, 2] > edge))
+    assert np.any((scores[:, 0] == scores[:, 1]) & (scores[:, 0] > edge))
+    ties_directional = (scores[:, :2] == best[:, None]).any(axis=1)
+    assert np.any((scores[:, 4] == best) & ties_directional & (best > edge))
+    images = quads.reshape(-1, GRID, GRID, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 8, 8)
+    decided = iter(quads)
+    for img in images.astype(np.uint8):
+        f = extract_ehd(img)
+        assert np.array_equal(f, per_cell_float_ehd(img))
+        for cell in f.reshape(GRID * GRID, len(EDGE_TYPES)):
+            assert sorted(cell) in ([0] * 5, [0] * 4 + [BIN_MAX])
+            want = docstring_rule(*(int(p) for p in next(decided)))
+            assert (int(cell.argmax()) if cell.any() else None) == want
+    assert next(decided, None) is None
+
+
+def test_input_layouts_give_the_contiguous_bins():
+    rng = np.random.default_rng(12)
+    base = rng.integers(0, 256, size=(91, 130), dtype=np.uint8)
+    read_only = base.copy()
+    read_only.flags.writeable = False
+    views = [
+        np.asfortranarray(base),
+        np.ascontiguousarray(base.T).T,
+        base[::-1, ::-1],
+        base[1::2, ::3],
+        read_only,
+    ]
+    for view in views:
+        before = view.copy()
+        f = extract_ehd(view)
+        assert f.dtype == np.int64
+        assert np.array_equal(f, extract_ehd(np.ascontiguousarray(view)))
+        assert np.array_equal(view, before)
+
+
+def test_geometry_grows_with_the_sides_not_the_area():
+    assert sum(array.nbytes for array in ehd_features._geometry(4096, 4096)) < 64 * 1024
