@@ -29,18 +29,18 @@ serves readers and writers: queries, ``verify_user`` and ``index`` read
 under it, registration and updates hold it while they stage and then store
 the records, so no retrieval ever observes a half-applied update.
 
-On disk a cloud is ``index.tsv`` plus ``owners/<id>/`` with a manifest,
-``img/<image>.pgm`` and ``feat/<image>.eft``; ``index.tsv`` and each
-manifest, like the key center's ``vault`` and the store's ``users.tsv``,
-are a header line and then records, written by ``framed_text`` and read by
-``read_framed``.  ``open_store`` reads only the index, the manifests and
-the ``img/`` and ``feat/`` listings; each image then reads its pixels and
-its feature the first time they are used, under the lock, so a query reads
-the h images it returns and no ``.eft``.  One pass, ``_read_images``,
-reads every kept image: ``save_store`` writes from what it returns, and
-``load_store`` is ``open_store`` followed by that pass.  So a store that
-was opened refuses a malformed file in ``owners/``, naming it, before
-``save_store`` writes anything.
+On disk a cloud is ``index.tsv`` plus ``owners/<id>/`` with a manifest and
+each image's ``img/<image>.pgm`` and ``feat/<image>.eft``, which
+``_write_image`` writes; ``index.tsv`` and each manifest, like the key
+center's ``vault`` and the store's ``users.tsv``, are a header line and
+then records, written by ``framed_text`` and read by ``read_framed``.
+``open_store`` reads only the index, the manifests and the listings; each
+image reads its pixels and feature on first use, under the lock, so a
+query reads the h images it returns and no ``.eft``.  ``build_store``
+writes each image as it arrives and keeps its row alone, as if opened.
+``save_store`` first reads every kept image (``_read_images``, as
+``load_store`` does), so it refuses a malformed file in ``owners/``,
+naming it, before it writes anything.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import math
 import os
 import re
 import shutil
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -405,22 +406,23 @@ class CloudNode:
             else:
                 raise TypeError(f"unknown update command {type(command).__name__}")
 
-    def _add_images(self, record: OwnerRecord, items: Sequence[tuple]) -> int:
+    def _add_images(self, record: OwnerRecord, items: Sequence[tuple], source=None) -> int:
         """Store new images of ``record`` with their rows; all of them or none."""
         for image_id, _, _ in items:
             _check_id(image_id, "image id")
             if image_id in record.images:
                 raise DuplicateImageError(f"{record.owner_id}/{image_id}")
         _require_distinct(record.owner_id, (image_id for image_id, _, _ in items))
-        staged = self._stage(record.owner_id, items)
+        staged = self._stage(record.owner_id, items, source)
         record.store(staged)
         return len(staged)
 
-    def _stage(self, owner_id: str, items: Sequence[tuple]) -> dict[str, StoredImage]:
+    def _stage(self, owner_id: str, items: Sequence[tuple], source=None) -> dict[str, StoredImage]:
         """``items``, whose ids are distinct, as stored images with their
-        recovered rows; stores nothing."""
+        recovered rows, or the rows alone with a ``source`` for their files."""
         return {
-            image_id: StoredImage(enc_image, feature, self._make_row(owner_id, image_id, feature))
+            image_id: StoredImage(*(None, None) if source else (enc_image, feature),
+                                  self._make_row(owner_id, image_id, feature), source)
             for image_id, enc_image, feature in items
         }
 
@@ -443,43 +445,73 @@ class CloudNode:
     # -- on-disk layout ----------------------------------------------------
 
     def save_store(self, root: str | Path) -> None:
-        """Persist owners/<OID>/{manifest,img,feat} plus index.tsv.
-
-        Every record is read before anything is written, so a store file
-        that fails to read leaves the tree as it was.  The owners subtree is
-        then rewritten from scratch so deletions do not leave stale files
-        behind.
-        """
+        """Persist owners/<OID>/{manifest,img,feat} plus index.tsv, reading every record
+        first, so a file that fails to read changes nothing; ``owners/`` is rewritten."""
         root = Path(root)
         with self._lock:
-            index, owners = self.index_table(), self._read_images()
+            tables, owners = self._tables(), self._read_images()
         root.mkdir(parents=True, exist_ok=True)
         if (root / "owners").exists():
             shutil.rmtree(root / "owners")
-        (root / "index.tsv").write_text(index)
-
-        for owner_id, aul, images in owners:
+        for owner_id, images in owners:
             base = root / "owners" / owner_id
-            (base / "img").mkdir(parents=True, exist_ok=True)
-            (base / "feat").mkdir(parents=True, exist_ok=True)
-            (base / "manifest").write_text(framed_text(
-                MANIFEST_HEADER, [owner_id, *(credential_line(uid, ak) for uid, ak in aul)]))
+            (base / "img").mkdir(parents=True)
+            (base / "feat").mkdir()
             for image_id, enc_image, feature in images:
-                write_pgm(base / "img" / f"{image_id}.pgm", enc_image, encrypted=True)
-                (base / "feat" / f"{image_id}.eft").write_text(
-                    feature_crypto.feature_to_text(feature)
-                )
+                _write_image(base, image_id, enc_image, feature)
+        for name, text in tables.items():
+            (root / name).write_text(text)
 
-    def _read_images(self) -> list[tuple[str, list, list]]:
-        """Each owner's id, sorted users and sorted (image id, pixels,
-        feature), every image read under the lock: what ``save_store`` writes."""
+    def _tables(self) -> dict[str, str]:
+        """Each store file ``framed_text`` writes, by path; the caller holds the lock."""
+        tables = {"index.tsv": self.index_table()}
+        for oid, rec in self._owners.items():
+            users = (credential_line(*user) for user in sorted(rec.aul))
+            tables[f"owners/{oid}/manifest"] = framed_text(MANIFEST_HEADER, [oid, *users])
+        return tables
+
+    def _read_images(self) -> list[tuple[str, list]]:
+        """What ``save_store`` writes: each owner's id and sorted (image id, pixels, feature)."""
         with self._lock:
             return [
-                (owner_id, sorted(record.aul),
-                 [(image_id, stored.enc_image, stored.feature)
-                  for image_id, stored in sorted(record.images.items())])
+                (owner_id, [(image_id, stored.enc_image, stored.feature)
+                            for image_id, stored in sorted(record.images.items())])
                 for owner_id, record in sorted(self._owners.items())
             ]
+
+    @classmethod
+    def build_store(cls, root: str | Path, params: GroupParams, aul: Sequence[tuple[str, bytes]],
+                    uploads: Iterable[tuple[str, tuple]]) -> "CloudNode":
+        """A cloud of ``uploads``, each an owner id and an (image id, pixels, feature) checked
+        as ``register_owner`` would, every owner authorizing ``aul``, written as it arrives
+        and kept as its row; the new tree replaces ``root``'s once whole, or not at all."""
+        root = Path(root)
+        node = cls(params)
+        made = next((p for p in (*reversed(root.parents), root) if not p.exists()), None)
+        root.mkdir(parents=True, exist_ok=True)
+        new = Path(tempfile.mkdtemp(prefix=".new-", dir=root))
+        try:
+            (new / "owners").mkdir()
+            for owner_id, (image_id, enc_image, feature) in uploads:
+                base = new / "owners" / owner_id
+                if owner_id not in node._owners:
+                    node.register_owner(owner_id, aul, [])
+                    (base / "img").mkdir(parents=True)
+                    (base / "feat").mkdir()
+                source = (node._lock, root / "owners" / owner_id)
+                node._add_images(node._owners[owner_id], [(image_id, enc_image, feature)], source)
+                _write_image(base, image_id, enc_image, feature)
+            for name, text in node._tables().items():
+                (new / name).write_text(text)
+        except BaseException:
+            shutil.rmtree(made or new)
+            raise
+        if (root / "owners").exists():
+            shutil.rmtree(root / "owners")
+        for name in ("owners", "index.tsv"):
+            os.replace(new / name, root / name)
+        new.rmdir()
+        return node
 
     @classmethod
     def open_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
@@ -566,6 +598,12 @@ def _read_feature(eft: Path) -> EncryptedFeature:
     except ValueError as exc:
         raise ValueError(f"{eft}: {exc}") from None
     return feature
+
+
+def _write_image(base: Path, image_id: str, pixels: np.ndarray, feature: EncryptedFeature) -> None:
+    """Write ``img/<image>.pgm`` and ``feat/<image>.eft`` in owner directory ``base``."""
+    write_pgm(base / "img" / f"{image_id}.pgm", pixels, encrypted=True)
+    (base / "feat" / f"{image_id}.eft").write_text(feature_crypto.feature_to_text(feature))
 
 
 def _listing(directory: Path) -> list[str]:

@@ -24,7 +24,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -89,57 +89,52 @@ def _owner_ids(count: int) -> list[str]:
     return [f"owner-{i + 1}" for i in range(count)]
 
 
-def load_corpus(root: str | Path, owners: int = 3) -> LabeledCorpus:
-    """Load PGM files grouped in one subdirectory per category.
-
-    Ordering is deterministic (sorted directories, sorted files) and items
-    are dealt round-robin over ``owners`` owner ids.  Unreadable or non-PGM
-    files are collected and reported together.
-    """
+def list_corpus(root: str | Path) -> tuple[list[Path], tuple[str, ...]]:
+    """The files of a corpus of one subdirectory per category, in order
+    (sorted directories, sorted files), and its category names; no file is read."""
     root = Path(root)
-    ids = _owner_ids(owners)
     category_dirs = sorted(d for d in root.iterdir() if d.is_dir())
+    paths = [path for d in category_dirs for path in sorted(d.iterdir()) if path.is_file()]
     if not category_dirs:
         log.warning("corpus root %s has no category directories", root)
-        return LabeledCorpus(items=(), categories=())
+    elif not paths:
+        log.warning("corpus root %s contained no images", root)
+    return paths, tuple(d.name for d in category_dirs)
 
+
+def read_corpus(paths: Iterable[Path], owners: int = 3) -> Iterator[CorpusItem]:
+    """Each PGM file of ``paths``, read as it is asked for, as a ``CorpusItem``
+    ``<category>_<stem>`` dealt round-robin over ``owners`` owner ids.  None follows an
+    unreadable or non-PGM file; after the last file, one ``IngestError`` names each."""
+    ids = _owner_ids(owners)
     errors: list[str] = []
-    items: list[CorpusItem] = []
-    position = 0
-    for cat_dir in category_dirs:
-        label = cat_dir.name
-        for path in sorted(cat_dir.iterdir()):
-            if not path.is_file():
-                continue
-            try:
-                image, _ = read_pgm(path)
-            except (ValueError, OSError) as exc:  # each names the path
-                errors.append(str(exc))
-                continue
-            items.append(
-                CorpusItem(
-                    item_id=f"{label}_{path.stem}",
-                    image=image,
-                    label=label,
-                    owner_id=ids[position % owners],
-                )
-            )
-            position += 1
+    for position, path in enumerate(paths):
+        try:
+            image, _ = read_pgm(path)
+        except (ValueError, OSError) as exc:  # each names the path
+            errors.append(str(exc))
+            continue
+        if not errors:
+            label = path.parent.name
+            yield CorpusItem(f"{label}_{path.stem}", image, label, ids[position % owners])
     if errors:
         raise IngestError(errors)
-    if not items:
-        log.warning("corpus root %s contained no images", root)
-    return LabeledCorpus(items=tuple(items), categories=tuple(d.name for d in category_dirs))
+
+
+def load_corpus(root: str | Path, owners: int = 3) -> LabeledCorpus:
+    """Every item ``read_corpus`` reads from ``list_corpus(root)``, held in memory."""
+    paths, categories = list_corpus(root)
+    return LabeledCorpus(items=tuple(read_corpus(paths, owners)), categories=categories)
 
 
 def write_corpus(corpus: LabeledCorpus, root: str | Path) -> None:
     """Materialize a corpus as PGM files in per-category directories."""
     root = Path(root)
+    for label in {item.label for item in corpus.items}:
+        (root / label).mkdir(parents=True, exist_ok=True)
     for item in corpus.items:
-        cat_dir = root / item.label
-        cat_dir.mkdir(parents=True, exist_ok=True)
         stem = item.item_id.removeprefix(item.label + "_")
-        write_pgm(cat_dir / f"{stem}.pgm", item.image)
+        write_pgm(root / item.label / f"{stem}.pgm", item.image)
 
 
 # -- synthetic textures ----------------------------------------------------------

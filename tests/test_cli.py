@@ -15,8 +15,10 @@ from mipp.cloud_node import CloudNode, DeleteImages
 from mipp.ehd_features import extract_ehd
 from mipp.evaluation import SynthSpec, load_corpus, synth_corpus, write_corpus
 from mipp.group_crypto import load_params
-from mipp.image_cipher import read_pgm, write_pgm
+from mipp.image_cipher import image_enc, keygen, read_pgm, write_pgm
+from mipp.kmc_node import KmcNode
 from mipp.protocol_sim import World
+from mipp.rng import derive_seed
 from mipp.similarity import SumPair, sim_from_sums
 
 TINY = SynthSpec(categories=4, per_category=8)
@@ -486,6 +488,12 @@ def _corpus_with(root, make):
     make(cat)
 
 
+def _truncated_pgm(directory):
+    path = directory / "z.pgm"
+    write_pgm(path, np.full((16, 16), 9, dtype=np.uint8))
+    path.write_bytes(path.read_bytes()[:-1])
+
+
 def _not_utf8(path):
     path.write_bytes(b"\xff" + path.read_bytes())
 
@@ -505,6 +513,13 @@ _PREPARE = {
     "text-in-corpus": lambda store, tmp: _corpus_with(
         tmp / "corpus", lambda cat: (cat / "notes.txt").write_text("notes\n")),
     "tiny-in-corpus": lambda store, tmp: _corpus_with(tmp / "corpus", _tiny_pgm),
+    # the refusals below come at the last corpus file, after every owner has stored images
+    "unsafe-id-last": lambda store, tmp: _corpus_with(
+        tmp / "corpus", lambda cat: write_pgm(cat / "z bad.pgm", np.full((16, 16), 9, np.uint8))),
+    "tiny-last": lambda store, tmp: (
+        write_corpus(synth_corpus(TINY, owners=2, seed=b"cli"), tmp / "corpus"),
+        _tiny_pgm(tmp / "corpus" / "zz")),
+    "truncated-last": lambda store, tmp: _corpus_with(tmp / "corpus", _truncated_pgm),
     "empty-corpus": lambda store, tmp: (tmp / "corpus" / "cat").mkdir(parents=True),
     "sum-beyond-ehd": lambda store, tmp: _edit_first_index_row(store, s1=2**63),
     "empty-add-dir": lambda store, tmp: (tmp / "add").mkdir(),
@@ -574,6 +589,10 @@ _NOT_UTF8 = "{store}/%s: 'utf-8' codec can't decode byte 0xff in position 0: inv
             "{store}/users.tsv"], "{store}/users.tsv: missing MIPP-PARAMS-1 header"),
     (None, ["eval", "--queries-per-category", "0"], "no queries to run"),
     (None, ["leakage", "--queries-per-category", "0"], "no queries to run"),
+    ("unsafe-id-last", _INGEST, "image id 'cat_z bad' must match ^[A-Za-z0-9_.-]+$"),
+    ("tiny-last", _INGEST, "zz_tiny: " + _TOO_SMALL),
+    ("truncated-last", _INGEST,
+     "1 corpus file(s) rejected: {tmp}/corpus/cat/z.pgm: raster size mismatch"),
 ], ids=["malformed-store-file", "sum-beyond-ehd", "top-h-zero", "bad-image",
         "authorized-by-no-owner", "bad-add-file", "unknown-owner", "empty-add", "empty-delete",
         "empty-reencrypt", "bad-corpus-file", "too-small-corpus-file", "nothing-to-ingest",
@@ -583,7 +602,8 @@ _NOT_UTF8 = "{store}/%s: 'utf-8' codec can't decode byte 0xff in position 0: inv
         "bench-reps-0", "bench-size-not-an-integer", "add-missing-dir", "add-plain-file",
         "add-dir-without-pgm", "counter-not-an-integer", "users-not-utf8", "vault-not-utf8",
         "index-not-utf8", "manifest-not-utf8", "ingest-bad-params-file",
-        "eval-synthetic-no-queries", "leakage-synthetic-no-queries"])
+        "eval-synthetic-no-queries", "leakage-synthetic-no-queries", "unsafe-id-last-in-corpus",
+        "too-small-last-in-corpus", "truncated-last-in-corpus"])
 def test_no_refusal_ends_in_a_traceback(
     store_dir, corpus_dir, tmp_path, capsys, prepare, argv, message
 ):
@@ -611,10 +631,96 @@ def test_an_empty_corpus_is_refused_in_one_line_by_the_program(tmp_path, command
     # a fresh interpreter, where no test harness holds logging's handlers
     (tmp_path / "corpus" / "cat").mkdir(parents=True)
     argv = [a.format(tmp=tmp_path) for a in command] + ["--corpus", str(tmp_path / "corpus")]
-    src = str(Path(mipp.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-m", "mipp.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_fresh_env(), timeout=120)
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def _fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this ``mipp``."""
+    src = str(Path(mipp.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# The probe reads the high-water mark of its own memory map.  Its ru_maxrss
+# would not do: Linux carries a process's ru_maxrss across exec, so a child
+# of the test process would start from that process's resident size.
+_INGEST_PEAK = ("import pathlib, re, sys; from mipp.cli import main; rc = main(sys.argv[1:]); "
+                "status = pathlib.Path('/proc/self/status').read_text(); "
+                "print(re.search(r'VmHWM:\\s*(\\d+) kB', status)[1]); sys.exit(rc)")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's /proc")
+def test_ingest_memory_does_not_grow_with_the_corpus(tmp_path):
+    # a fresh interpreter each for 200 and for 800 images of 128x128; an
+    # ingest that held the corpus, or its ciphertexts, would add about 9.4 MiB
+    # to the larger one's peak for each copy
+    peaks = []
+    for per_category in (50, 200):
+        corpus = tmp_path / f"corpus-{per_category}"
+        spec = SynthSpec(categories=4, per_category=per_category, image_size=128)
+        write_corpus(synth_corpus(spec, owners=3, seed=b"memory"), corpus)
+        store = tmp_path / f"store-{per_category}"
+        done = subprocess.run([sys.executable, "-c", _INGEST_PEAK, "ingest", "--corpus",
+                               str(corpus), "--store", str(store)],
+                              capture_output=True, text=True, env=_fresh_env(), timeout=300)
+        assert done.returncode == 0, done.stderr
+        peaks.append(int(done.stdout.split()[-1]) * 1024)
+    extra_pixel_bytes = 600 * 128 * 128
+    assert peaks[1] - peaks[0] < extra_pixel_bytes / 4
+
+
+def _snapshot(root):
+    """Every path under ``root``, a file's with its bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def test_a_refused_ingest_leaves_an_existing_store_as_it_was(corpus_dir, tmp_path, capsys):
+    store, corpus = tmp_path / "store", tmp_path / "corpus"
+    argv = ["ingest", "--corpus", str(corpus), "--store", str(store), "--owners", "2"]
+    shutil.copytree(corpus_dir, corpus)
+    assert main(argv + ["--seed", "before"]) == 0
+    before = _snapshot(store)
+    _tiny_pgm(corpus / "zz")
+    capsys.readouterr()
+    assert main(argv + ["--seed", "after"]) == 1
+    assert capsys.readouterr().err == "zz_tiny: " + _TOO_SMALL + "\n"
+    assert _snapshot(store) == before
+
+
+def test_an_ingest_over_a_store_rewrites_it_as_a_new_one(corpus_dir, tmp_path):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    argv = ["ingest", "--corpus", str(corpus_dir), "--owners", "2", "--seed", "over"]
+    assert main(argv + ["--store", str(fresh)]) == 0
+    # three owners and another seed first, so every file and owner is replaced
+    assert main(["ingest", "--corpus", str(corpus_dir), "--store", str(reused),
+                 "--owners", "3", "--seed", "other"]) == 0
+    assert main(argv + ["--store", str(reused)]) == 0
+    assert ({p.relative_to(reused): b for p, b in _snapshot(reused).items()}
+            == {p.relative_to(fresh): b for p, b in _snapshot(fresh).items()})
+
+
+def test_every_owner_key_covers_the_largest_image_wherever_it_comes(tmp_path):
+    # owner-1 meets the largest image second, owners 2 and 3 never: each key
+    # grows as larger images arrive, and the store must be what keys cut to
+    # the largest image up front give
+    cat = tmp_path / "corpus" / "cat"
+    cat.mkdir(parents=True)
+    rng = np.random.default_rng(3)
+    images = [rng.integers(0, 256, size=shape, dtype=np.uint8)
+              for shape in [(16, 16), (24, 20), (16, 16), (40, 32), (20, 16)]]
+    for k, image in enumerate(images):
+        write_pgm(cat / f"{k}.pgm", image)
+    store = tmp_path / "store"
+    assert main(["ingest", "--corpus", str(tmp_path / "corpus"), "--store", str(store),
+                 "--seed", "grow"]) == 0
+    kmc = KmcNode.load_vault(store / "vault")
+    keys = {f"owner-{i}": keygen(40 * 32, derive_seed(b"grow", f"owner-sk:owner-{i}"))
+            for i in (1, 2, 3)}
+    assert {owner_id: kmc.owner_key(owner_id) for owner_id in keys} == keys
+    for k, image in enumerate(images):
+        owner_id = f"owner-{k % 3 + 1}"
+        stored = read_pgm(store / "cloud" / "owners" / owner_id / "img" / f"cat_{k}.pgm")[0]
+        assert np.array_equal(stored, image_enc(keys[owner_id], image))

@@ -299,6 +299,48 @@ def test_store_roundtrip(tmp_path):
     assert np.array_equal(img_before, img_after)
 
 
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_build_store_writes_and_holds_what_save_store_would(tmp_path):
+    uploads = [
+        ("owner-2", ("img-a", enc_img(4), upload([5, 5, 5], b"d"))),
+        ("owner-1", ("img-b", enc_img(2), upload([10, 0, 0], b"b"))),
+        ("owner-2", ("img-d", enc_img(5, (16, 8)), upload([0, 0, 0], b"e"))),
+        ("owner-1", ("img-a", enc_img(1), upload([2, 3, 4], b"a"))),
+    ]
+    saved = CloudNode(PARAMS)
+    for owner_id in ("owner-1", "owner-2"):
+        saved.register_owner(owner_id, [("alice", AK1)],
+                             [image for oid, image in uploads if oid == owner_id])
+    saved.save_store(tmp_path / "saved")
+    built = CloudNode.build_store(tmp_path / "built", PARAMS, [("alice", AK1)], iter(uploads))
+    assert _files(tmp_path / "built") == _files(tmp_path / "saved")
+    assert built.index == saved.index
+    # each image reads its files back from the store on first use
+    for owner_id, (image_id, enc_image, feature) in uploads:
+        stored = built.owner_record(owner_id).images[image_id]
+        assert np.array_equal(stored.enc_image, enc_image)
+        assert feature_to_text(stored.feature) == feature_to_text(feature)
+    got, want = (c.retrieve_top_h(query([2, 3, 4])) for c in (built, saved))
+    assert [(r.owner_id, r.image_id, r.distance) for r in got] == [
+        (r.owner_id, r.image_id, r.distance) for r in want]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "over-a-store"])
+def test_a_refused_build_store_leaves_the_tree_as_it_was(tmp_path, existing):
+    root = tmp_path / "store" / "cloud"
+    if existing:
+        make_cloud().save_store(root)
+    before = sorted(tmp_path.rglob("*"))
+    image = ("img-a", enc_img(1), upload([2, 3, 4], b"a"))
+    with pytest.raises(DuplicateImageError, match="^owner-1/img-a$"):
+        CloudNode.build_store(root, PARAMS, [("alice", AK1)],
+                              iter([("owner-2", image), ("owner-1", image), ("owner-1", image)]))
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_index_tsv_matches_table_layout(tmp_path):
     cloud = make_cloud()
     cloud.save_store(tmp_path / "store")
