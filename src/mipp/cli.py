@@ -255,7 +255,7 @@ def cmd_update(args) -> int:
         cloud.apply_update(args.owner, UpdateImages(tuple(items)))
         done = f"re-encrypted {len(ids)} features for {args.owner}; index rows unchanged: True"
 
-    # saving reads every image kept, so a malformed file is refused before any write
+    # a new tree replaces the old once whole, so a failed read or write changes nothing
     cloud.save_store(store / "cloud")
     print(done)
     return 0

@@ -36,11 +36,11 @@ center's ``vault`` and the store's ``users.tsv``, are a header line and
 then records, written by ``framed_text`` and read by ``read_framed``.
 ``open_store`` reads only the index, the manifests and the listings; each
 image reads its pixels and feature on first use, under the lock, so a
-query reads the h images it returns and no ``.eft``.  ``build_store``
-writes each image as it arrives and keeps its row alone, as if opened.
-``save_store`` first reads every kept image (``_read_images``, as
-``load_store`` does), so it refuses a malformed file in ``owners/``,
-naming it, before it writes anything.
+query reads the h images it returns and no ``.eft``.  One writer,
+``_write_tree``, writes every tree, for ``build_store`` and ``save_store``
+alike: each image as it comes (``save_store`` reads the kept ones from the
+old tree as it goes), then the tables, into a new directory whose
+``owners/`` and ``index.tsv`` replace ``root``'s only once it is whole.
 """
 
 from __future__ import annotations
@@ -445,39 +445,13 @@ class CloudNode:
     # -- on-disk layout ----------------------------------------------------
 
     def save_store(self, root: str | Path) -> None:
-        """Persist owners/<OID>/{manifest,img,feat} plus index.tsv, reading every record
-        first, so a file that fails to read changes nothing; ``owners/`` is rewritten."""
-        root = Path(root)
-        with self._lock:
-            tables, owners = self._tables(), self._read_images()
-        root.mkdir(parents=True, exist_ok=True)
-        if (root / "owners").exists():
-            shutil.rmtree(root / "owners")
-        for owner_id, images in owners:
-            base = root / "owners" / owner_id
-            (base / "img").mkdir(parents=True)
-            (base / "feat").mkdir()
-            for image_id, enc_image, feature in images:
-                _write_image(base, image_id, enc_image, feature)
-        for name, text in tables.items():
-            (root / name).write_text(text)
-
-    def _tables(self) -> dict[str, str]:
-        """Each store file ``framed_text`` writes, by path; the caller holds the lock."""
-        tables = {"index.tsv": self.index_table()}
-        for oid, rec in self._owners.items():
-            users = (credential_line(*user) for user in sorted(rec.aul))
-            tables[f"owners/{oid}/manifest"] = framed_text(MANIFEST_HEADER, [oid, *users])
-        return tables
-
-    def _read_images(self) -> list[tuple[str, list]]:
-        """What ``save_store`` writes: each owner's id and sorted (image id, pixels, feature)."""
-        with self._lock:
-            return [
-                (owner_id, [(image_id, stored.enc_image, stored.feature)
-                            for image_id, stored in sorted(record.images.items())])
-                for owner_id, record in sorted(self._owners.items())
-            ]
+        """Persist owners/<OID>/{manifest,img,feat} plus index.tsv, reading each image
+        as ``_write_tree`` writes it, so a file that fails to read changes nothing."""
+        self._write_tree(root, (
+            (owner_id, image_id, stored.enc_image, stored.feature)
+            for owner_id, record in sorted(self._owners.items())
+            for image_id, stored in sorted(record.images.items())
+        ))
 
     @classmethod
     def build_store(cls, root: str | Path, params: GroupParams, aul: Sequence[tuple[str, bytes]],
@@ -487,39 +461,56 @@ class CloudNode:
         and kept as its row; the new tree replaces ``root``'s once whole, or not at all."""
         root = Path(root)
         node = cls(params)
+
+        def registered():
+            for owner_id, (image_id, enc_image, feature) in uploads:
+                if owner_id not in node._owners:
+                    node.register_owner(owner_id, aul, [])
+                source = (node._lock, root / "owners" / owner_id)
+                node._add_images(node._owners[owner_id], [(image_id, enc_image, feature)], source)
+                yield owner_id, image_id, enc_image, feature
+
+        node._write_tree(root, registered())
+        return node
+
+    def _write_tree(self, root: str | Path, images: Iterable[tuple]) -> None:
+        """Write ``images``, each (owner id, image id, pixels, feature), as they come,
+        then ``index.tsv`` and every manifest, into a new directory in ``root``; once
+        it is whole, move ``root``'s ``owners/`` into it, then its ``owners/`` and
+        ``index.tsv`` into ``root``.  A failure before then removes the new directory
+        and whatever of ``root`` it made, and re-raises."""
+        root = Path(root)
         made = next((p for p in (*reversed(root.parents), root) if not p.exists()), None)
         root.mkdir(parents=True, exist_ok=True)
         new = Path(tempfile.mkdtemp(prefix=".new-", dir=root))
         try:
-            (new / "owners").mkdir()
-            for owner_id, (image_id, enc_image, feature) in uploads:
-                base = new / "owners" / owner_id
-                if owner_id not in node._owners:
-                    node.register_owner(owner_id, aul, [])
-                    (base / "img").mkdir(parents=True)
-                    (base / "feat").mkdir()
-                source = (node._lock, root / "owners" / owner_id)
-                node._add_images(node._owners[owner_id], [(image_id, enc_image, feature)], source)
-                _write_image(base, image_id, enc_image, feature)
-            for name, text in node._tables().items():
-                (new / name).write_text(text)
+            with self._lock:
+                (new / "owners").mkdir()
+                bases: dict[str, Path] = {}
+                for owner_id, image_id, enc_image, feature in images:
+                    if owner_id not in bases:
+                        bases[owner_id] = _make_owner_dir(new / "owners" / owner_id)
+                    _write_image(bases[owner_id], image_id, enc_image, feature)
+                (new / "index.tsv").write_text(self.index_table())
+                for oid, rec in self._owners.items():
+                    base = bases.get(oid) or _make_owner_dir(new / "owners" / oid)
+                    users = (credential_line(*user) for user in sorted(rec.aul))
+                    (base / "manifest").write_text(framed_text(MANIFEST_HEADER, [oid, *users]))
         except BaseException:
             shutil.rmtree(made or new)
             raise
         if (root / "owners").exists():
-            shutil.rmtree(root / "owners")
+            os.replace(root / "owners", new / "old")
         for name in ("owners", "index.tsv"):
             os.replace(new / name, root / name)
-        new.rmdir()
-        return node
+        shutil.rmtree(new)
 
     @classmethod
     def open_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
         """Open a store reading only ``index.tsv``, each manifest and the
         ``img/`` and ``feat/`` listings; no ``.eft`` and no ``.pgm``.  Each
-        image reads its pixels and feature on first use, and ``save_store``
-        reads them all before it writes.  Each image must have exactly one
-        ``index.tsv`` row and a ``.eft`` file."""
+        image reads its pixels and feature on first use.  Each image must
+        have exactly one ``index.tsv`` row and a ``.eft`` file."""
         root = Path(root)
         node = cls(params)
         index_path = root / "index.tsv"
@@ -564,10 +555,11 @@ class CloudNode:
 
     @classmethod
     def load_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
-        """``open_store``, then read every image's pixels and feature as
-        ``save_store`` does; no command uses it."""
+        """``open_store``, then read every image's pixels and feature; no command uses it."""
         node = cls.open_store(root, params)
-        node._read_images()
+        for record in node._owners.values():
+            for stored in record.images.values():
+                stored.enc_image, stored.feature  # each property reads its file
         return node
 
 
@@ -604,6 +596,13 @@ def _write_image(base: Path, image_id: str, pixels: np.ndarray, feature: Encrypt
     """Write ``img/<image>.pgm`` and ``feat/<image>.eft`` in owner directory ``base``."""
     write_pgm(base / "img" / f"{image_id}.pgm", pixels, encrypted=True)
     (base / "feat" / f"{image_id}.eft").write_text(feature_crypto.feature_to_text(feature))
+
+
+def _make_owner_dir(base: Path) -> Path:
+    """Make owner directory ``base`` with its ``img/`` and ``feat/``; returns ``base``."""
+    (base / "img").mkdir(parents=True)
+    (base / "feat").mkdir()
+    return base
 
 
 def _listing(directory: Path) -> list[str]:

@@ -273,6 +273,18 @@ def test_lazy_delete_saves_what_an_eager_load_saves(store_dir, tmp_path, capsys)
         p.relative_to(eager): b for p, b in _tree(eager).items()}
 
 
+def test_an_update_the_disk_cannot_hold_changes_nothing(
+    store_dir, tmp_path, capsys, disk_full_after
+):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    disk_full_after(3)
+    err = refusal(["update", "--owner", "owner-1", "--delete", _first_image(store, "owner-1")],
+                  store, capsys)
+    assert "No space left on device" in err and "Traceback" not in err
+    assert not list(store.rglob(".new-*"))
+
+
 @pytest.mark.parametrize("path, line", [
     ("vault", 2),
     ("users.tsv", 2),

@@ -328,17 +328,33 @@ def test_build_store_writes_and_holds_what_save_store_would(tmp_path):
         (r.owner_id, r.image_id, r.distance) for r in want]
 
 
-@pytest.mark.parametrize("existing", [False, True], ids=["new", "over-a-store"])
-def test_a_refused_build_store_leaves_the_tree_as_it_was(tmp_path, existing):
+def _snapshot(root):
+    """Every path under ``root``, a file's with its bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("case", ["new", "over-a-store", "save-over-a-store"])
+def test_a_refused_build_store_leaves_the_tree_as_it_was(tmp_path, disk_full_after, case):
     root = tmp_path / "store" / "cloud"
-    if existing:
+    if case != "new":
         make_cloud().save_store(root)
-    before = sorted(tmp_path.rglob("*"))
-    image = ("img-a", enc_img(1), upload([2, 3, 4], b"a"))
-    with pytest.raises(DuplicateImageError, match="^owner-1/img-a$"):
-        CloudNode.build_store(root, PARAMS, [("alice", AK1)],
-                              iter([("owner-2", image), ("owner-1", image), ("owner-1", image)]))
-    assert sorted(tmp_path.rglob("*")) == before
+    before = _snapshot(tmp_path)
+    if case == "save-over-a-store":
+        # the disk fills at the third of the five images kept
+        cloud = CloudNode.open_store(root, PARAMS)
+        cloud.apply_update("owner-1", DeleteImages(("img-b",)))
+        disk_full_after(2)
+        with pytest.raises(OSError, match="No space left on device"):
+            cloud.save_store(root)
+    else:
+        image = ("img-a", enc_img(1), upload([2, 3, 4], b"a"))
+        with pytest.raises(DuplicateImageError, match="^owner-1/img-a$"):
+            CloudNode.build_store(root, PARAMS, [("alice", AK1)],
+                                  iter([("owner-2", image), ("owner-1", image), ("owner-1", image)]))
+    assert _snapshot(tmp_path) == before
+    assert not list(tmp_path.rglob(".new-*"))
+    if case != "new":
+        assert CloudNode.open_store(root, PARAMS).index == make_cloud().index
 
 
 def test_index_tsv_matches_table_layout(tmp_path):
@@ -612,10 +628,6 @@ def test_index_that_does_not_match_the_images_is_refused(tmp_path, edit, message
         CloudNode.load_store(tmp_path / "store", PARAMS)
 
 
-def _tree(root):
-    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 def _ranking(cloud, vector, h, use_index):
     return [(r.owner_id, r.image_id, r.distance, r.enc_image.tobytes())
             for r in cloud.retrieve_top_h(query(vector, h=h), use_index=use_index)]
@@ -751,17 +763,17 @@ def test_concurrent_reads_of_an_opened_store_read_each_image_once(tmp_path, monk
 def test_saving_an_opened_store_over_itself_changes_no_byte(tmp_path):
     root = tmp_path / "store"
     make_cloud().save_store(root)
-    intact = _tree(root)
+    intact = _snapshot(root)
     CloudNode.open_store(root, PARAMS).save_store(root)
-    assert _tree(root) == intact
+    assert _snapshot(root) == intact
 
     eft = root / "owners" / "owner-2" / "feat" / "img-e.eft"
     eft.write_text(eft.read_text().splitlines()[0] + "\n")
-    broken = _tree(root)
+    broken = _snapshot(root)
     opened = CloudNode.open_store(root, PARAMS)
     with pytest.raises(ValueError, match=f"^{re.escape(str(eft))}: "):
         opened.save_store(root)
-    assert _tree(root) == broken
+    assert _snapshot(root) == broken
 
 
 # owner ids whose string order differs from their numeric order
