@@ -12,8 +12,10 @@ directory is given.  Reports are TSV on stdout, mirrored to ``--out``.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import itertools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -76,13 +78,23 @@ def _require_flag_ranges(args) -> None:
 
 
 def _next_session(store: Path) -> int:
+    """Take the store's next session ordinal, holding the store directory's
+    lock from the read through the write, so no two processes take one.
+    The write overwrites the old value in place, never shorter, so a failed
+    write leaves the old bytes and no session creates or renames a file."""
     counter_file = store / "session.counter"
+    lock = os.open(store, os.O_RDONLY)
     try:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # closing the directory releases it
         value = int(counter_file.read_text()) if counter_file.exists() else 0
+        with open(os.open(counter_file, os.O_WRONLY | os.O_CREAT, 0o600), "w") as fh:
+            fh.write(str(value + 1))
+            fh.truncate()  # drops what a hand-edited counter held past the value
+        return value
     except ValueError as exc:  # not an integer, or not UTF-8
         raise ValueError(f"{counter_file}: {exc}") from None
-    counter_file.write_text(str(value + 1))
-    return value
+    finally:
+        os.close(lock)
 
 
 def cmd_gen_params(args) -> int:
@@ -127,7 +139,8 @@ def cmd_ingest(args) -> int:
         kmc.store_owner_key(owner_id, owner_key(owner_id, max_pixels))
     group_crypto.save_params(params, store / "params.txt")
     kmc.save_vault(store / "vault")
-    (store / "users.tsv").write_text(framed_text(USERS_HEADER, [credential_line(args.user, ak)]))
+    group_crypto.replace_file(store / "users.tsv",
+                              framed_text(USERS_HEADER, [credential_line(args.user, ak)]))
     rows = len(cloud.index)
     print(f"ingested {rows} images from {len(categories)} categories into {store} "
           f"({len(keys)} owners, index rows: {rows})")

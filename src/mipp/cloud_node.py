@@ -4,15 +4,15 @@ The cloud stores encrypted images and encrypted features per owner, plus an
 authorized-user list per owner.  At registration it aggregates each feature
 pair once and keeps the recovered sums (s1, s2) in the retrieval index; this
 is the scheme's deliberate leakage surface (the cloud learns per-image sums,
-nothing entrywise).  Queries are ranked by ``similarity.top_h`` over
-int64 columns of sums: each ``OwnerRecord`` holds its image ids in sorted
-order with their s1 and s2, built from the rows on the first query that
-needs them and dropped whenever its images change.  A query concatenates
-the authorized owners' columns in owner-id order, so a row's position
-follows (owner id, image id) and equal keys go by that pair, as in
-``sorted((key, owner, image))``.  ``retrieve_top_h(use_index=False)`` makes
-the same ranking call over sums re-aggregated from every stored ciphertext
-instead; it is the reference the index path is checked and timed against.
+nothing entrywise).  The index is four columns sorted by (owner id,
+image id): owner ids, image ids, and s1 and s2 as int64, so each owner's
+rows are one run, found by bisecting the owner column.  A query ranks the
+authorized owners' runs with ``similarity.top_h`` in owner-id order, so a
+row's position follows (owner id, image id) and equal keys go by that
+pair, as in ``sorted((key, owner, image))``.  ``retrieve_top_h(use_index=False)``
+makes the same ranking call over sums re-aggregated from the ciphertexts
+of each authorized owner's ``images``, in image-id order, without reading
+the columns; it is the reference the index path is checked and timed against.
 
 The int64 keys are exact because the cloud refuses sums no edge histogram
 has: 80 entries in [0, 255] give 0 <= s1 <= 20,400 and
@@ -22,9 +22,9 @@ against that range and against Cauchy-Schwarz.
 
 Every feature and query the cloud takes is an edge histogram, of
 ``ehd_features.FEATURE_DIMS`` entries; one check refuses any other length,
-the first feature into an empty cloud included.  Each image's index row
-lives in its ``StoredImage`` next to the ciphertexts it was recovered
-from, so there is no second table to keep in step.  One lock
+the first feature into an empty cloud included.  The columns are the only
+copy of the sums; registration and each update rebuild them once, after
+every check, so they and the owners' ``images`` hold the same keys.  One lock
 serves readers and writers: queries, ``verify_user`` and ``index`` read
 under it, registration and updates hold it while they stage and then store
 the records, so no retrieval ever observes a half-applied update.
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import bisect
 import errno
-import itertools
 import math
 import os
 import re
@@ -109,67 +108,47 @@ class IndexEntry(NamedTuple):
     s2: int
 
 
+@dataclass(slots=True, eq=False)
 class StoredImage:
-    """One stored image: its index row, encrypted pixels and encrypted feature.
+    """One stored image: its encrypted pixels and encrypted feature.
 
     An image of a store opened by ``CloudNode.open_store`` may start
     without its pixels or its feature, and then reads each from the store
-    the first time it is used, under its cloud's lock.  Its ``source`` is
-    that lock and its owner's directory; it holds no reference to the cloud,
-    so a cloud that is dropped is freed at once.
+    the first time it is used, under its cloud's lock.  Its ``_source`` is
+    that lock, its owner's directory and its image id; it holds no reference
+    to the cloud, so a cloud that is dropped is freed at once.
     """
 
-    __slots__ = ("row", "_enc_image", "_feature", "_source")
-
-    def __init__(self, enc_image: np.ndarray | None, feature: EncryptedFeature | None,
-                 row: IndexEntry, source: tuple | None = None):
-        self.row = row
-        self._enc_image = enc_image
-        self._feature = feature
-        self._source = source
+    _enc_image: np.ndarray | None
+    _feature: EncryptedFeature | None
+    _source: tuple | None = None
 
     @property
     def enc_image(self) -> np.ndarray:
         if self._enc_image is None:
-            lock, base = self._source
+            lock, base, image_id = self._source
             with lock:
                 if self._enc_image is None:
-                    self._enc_image = read_pgm(base / "img" / f"{self.row.image_id}.pgm")[0]
+                    self._enc_image = read_pgm(base / "img" / f"{image_id}.pgm")[0]
         return self._enc_image
 
     @property
     def feature(self) -> EncryptedFeature:
         if self._feature is None:
-            lock, base = self._source
+            lock, base, image_id = self._source
             with lock:
                 if self._feature is None:
-                    self._feature = _read_feature(base / "feat" / f"{self.row.image_id}.eft")
+                    self._feature = _read_feature(base / "feat" / f"{image_id}.eft")
         return self._feature
-
-
-class Columns(NamedTuple):
-    """An owner's image ids in sorted order, with their sums as int64."""
-
-    image_ids: list[str]
-    s1: np.ndarray
-    s2: np.ndarray
-
-    @classmethod
-    def of(cls, rows: Sequence[IndexEntry]) -> "Columns":
-        """The columns of ``rows``, which are sorted by image id."""
-        return cls([r.image_id for r in rows], np.array([r.s1 for r in rows], dtype=np.int64),
-                   np.array([r.s2 for r in rows], dtype=np.int64))
 
 
 @dataclass
 class OwnerRecord:
-    """An owner's authorized users and images.  ``images`` is written only
-    through ``store`` and ``delete``, which drop the cached columns."""
+    """An owner's authorized users and images; the cloud's index holds their sums."""
 
     owner_id: str
     aul: frozenset[tuple[str, bytes]]
     images: dict[str, StoredImage] = field(default_factory=dict)
-    _columns: Columns | None = field(default=None, repr=False, compare=False)
 
     def require_owned(self, image_ids: Iterable[str]) -> None:
         """Refuse an unsafe or repeated image id, or one this owner does not hold."""
@@ -180,22 +159,6 @@ class OwnerRecord:
         for image_id in image_ids:
             if image_id not in self.images:
                 raise OwnershipError(f"{self.owner_id} does not own {image_id!r}")
-
-    def store(self, images: dict[str, StoredImage]) -> None:
-        """Add ``images``, or replace those already held under their ids."""
-        self.images.update(images)
-        self._columns = None
-
-    def delete(self, image_ids: Iterable[str]) -> None:
-        for image_id in image_ids:
-            del self.images[image_id]
-        self._columns = None
-
-    def columns(self) -> Columns:
-        """The rows' columns, built on first use; the caller holds the cloud's lock."""
-        if self._columns is None:
-            self._columns = Columns.of([self.images[i].row for i in sorted(self.images)])
-        return self._columns
 
 
 @dataclass(frozen=True)
@@ -304,14 +267,16 @@ class CloudNode:
         self.params = params
         self._owners: dict[str, OwnerRecord] = {}
         self._lock = threading.RLock()
+        self._owner_col: list[str] = []
+        self._image_col: list[str] = []
+        self._s1 = self._s2 = np.zeros(0, dtype=np.int64)
 
     @property
     def index(self) -> tuple[IndexEntry, ...]:
-        """Every stored image's row, sorted by (owner id, image id)."""
+        """Every stored image's row, in (owner id, image id) order."""
         with self._lock:
-            return tuple(sorted(
-                stored.row for rec in self._owners.values() for stored in rec.images.values()
-            ))
+            return tuple(map(IndexEntry, self._owner_col, self._image_col,
+                             self._s1.tolist(), self._s2.tolist()))
 
     @property
     def owner_ids(self) -> tuple[str, ...]:
@@ -337,9 +302,10 @@ class CloudNode:
             record = OwnerRecord(owner_id, frozenset((uid, bytes(ak)) for uid, ak in aul))
             if len({uid for uid, _ in record.aul}) < len(record.aul):
                 raise ValueError(f"{owner_id}: authorized-user list repeats a user")
-            added = self._add_images(record, images)
+            rows = self._add_images(record, images)
             self._owners[owner_id] = record
-            return added
+            self._reindex(rows)
+            return len(rows)
 
     def verify_user(self, uid: str, ak: bytes) -> set[str]:
         """Owners whose authorized-user list contains (uid, ak)."""
@@ -362,25 +328,23 @@ class CloudNode:
             if not authorized:
                 raise AuthorizationError(f"user {q.uid!r} matches no owner's list")
             query = self._sums(q.eq, f"query sums of user {q.uid!r}")
-            records = [self._owners[oid] for oid in sorted(authorized)]
-            columns = [
-                record.columns() if use_index else Columns.of([
-                    self._make_row(record.owner_id, image_id, record.images[image_id].feature)
-                    for image_id in sorted(record.images)
-                ])
-                for record in records
-            ]
-            starts = list(itertools.accumulate((len(c.image_ids) for c in columns), initial=0))
-            ranked = top_h(query, np.concatenate([c.s1 for c in columns]),
-                           np.concatenate([c.s2 for c in columns]), q.h)
+            owners = sorted(authorized)
+            if use_index:
+                rows = np.concatenate([np.arange(*self._run(oid)) for oid in owners])
+                s1, s2 = self._s1[rows], self._s2[rows]
+            else:
+                keys = [(oid, iid) for oid in owners for iid in sorted(self._owners[oid].images)]
+                sums = [self._sums(self._owners[oid].images[iid].feature, f"sums for {oid}/{iid}")
+                        for oid, iid in keys]
+                s1, s2 = (np.array([getattr(s, n) for s in sums], dtype=np.int64)
+                          for n in ("s1", "s2"))
             results = []
-            for key, position in ranked:
-                k = bisect.bisect_right(starts, position) - 1
-                record, image_id = records[k], columns[k].image_ids[position - starts[k]]
+            for key, position in top_h(query, s1, s2, q.h):
+                owner_id, image_id = self._key(rows[position]) if use_index else keys[position]
                 results.append(RetrievalResult(
-                    owner_id=record.owner_id,
+                    owner_id=owner_id,
                     image_id=image_id,
-                    enc_image=record.images[image_id].enc_image,
+                    enc_image=self._owners[owner_id].images[image_id].enc_image,
                     distance=math.sqrt(key / query.l),
                 ))
             return results
@@ -392,43 +356,64 @@ class CloudNode:
         with self._lock:
             record = self.owner_record(owner_id)
             if isinstance(command, AddImages):
-                self._add_images(record, command.items)
+                self._reindex(self._add_images(record, command.items))
             elif isinstance(command, DeleteImages):
                 record.require_owned(command.image_ids)
-                record.delete(command.image_ids)
+                for image_id in command.image_ids:
+                    del record.images[image_id]
+                self._reindex()
             elif isinstance(command, UpdateImages):
                 record.require_owned(iid for iid, _, _ in command.items)
-                staged = self._stage(owner_id, command.items)
-                for image_id, stored in staged.items():
-                    if stored.row != record.images[image_id].row:
+                images, rows = self._stage(owner_id, command.items)
+                start, stop = self._run(owner_id)
+                for _, image_id, s1, s2 in rows:
+                    i = bisect.bisect_left(self._image_col, image_id, start, stop)
+                    if self._s1[i] != s1 or self._s2[i] != s2:
                         raise CloudError(f"{owner_id}/{image_id}: replacement changes its sums")
-                record.store(staged)
+                record.images.update(images)
             else:
                 raise TypeError(f"unknown update command {type(command).__name__}")
 
-    def _add_images(self, record: OwnerRecord, items: Sequence[tuple], source=None) -> int:
-        """Store new images of ``record`` with their rows; all of them or none."""
+    def _key(self, row: int) -> tuple[str, str]:
+        """The (owner id, image id) of position ``row`` in the columns."""
+        return self._owner_col[row], self._image_col[row]
+
+    def _run(self, owner_id: str) -> tuple[int, int]:
+        """The start and stop of ``owner_id``'s rows in the columns."""
+        return (bisect.bisect_left(self._owner_col, owner_id),
+                bisect.bisect_right(self._owner_col, owner_id))
+
+    def _reindex(self, rows: Iterable[tuple] = ()) -> None:
+        """Rebuild the columns from the rows of the images still held and
+        ``rows``, each the (owner id, image id, s1, s2) of a new image."""
+        held = (row for row in self.index if row.image_id in self._owners[row.owner_id].images)
+        rows = sorted([*held, *rows])
+        owners, images, s1, s2 = zip(*rows) if rows else [()] * 4
+        self._owner_col, self._image_col = list(owners), list(images)
+        self._s1, self._s2 = np.array(s1, dtype=np.int64), np.array(s2, dtype=np.int64)
+
+    def _add_images(self, record: OwnerRecord, items: Sequence[tuple], source=None) -> list:
+        """Store new images of ``record``, all of them or none; returns their
+        index rows for the caller to add with ``_reindex``."""
         for image_id, _, _ in items:
             _check_id(image_id, "image id")
             if image_id in record.images:
                 raise DuplicateImageError(f"{record.owner_id}/{image_id}")
         _require_distinct(record.owner_id, (image_id for image_id, _, _ in items))
-        staged = self._stage(record.owner_id, items, source)
-        record.store(staged)
-        return len(staged)
+        images, rows = self._stage(record.owner_id, items, source)
+        record.images.update(images)
+        return rows
 
-    def _stage(self, owner_id: str, items: Sequence[tuple], source=None) -> dict[str, StoredImage]:
-        """``items``, whose ids are distinct, as stored images with their
-        recovered rows, or the rows alone with a ``source`` for their files."""
-        return {
-            image_id: StoredImage(*(None, None) if source else (enc_image, feature),
-                                  self._make_row(owner_id, image_id, feature), source)
-            for image_id, enc_image, feature in items
-        }
-
-    def _make_row(self, owner_id: str, image_id: str, feature: EncryptedFeature) -> IndexEntry:
-        sums = self._sums(feature, f"sums for {owner_id}/{image_id}")
-        return IndexEntry(owner_id, image_id, sums.s1, sums.s2)
+    def _stage(self, owner_id: str, items: Sequence[tuple], source=None) -> tuple[dict, list]:
+        """``items``, whose ids are distinct, as stored images and their
+        index rows; with a ``source``, the images read their files from it."""
+        images, rows = {}, []
+        for image_id, enc_image, feature in items:
+            sums = self._sums(feature, f"sums for {owner_id}/{image_id}")
+            rows.append((owner_id, image_id, sums.s1, sums.s2))
+            images[image_id] = (StoredImage(None, None, (*source, image_id)) if source
+                                else StoredImage(enc_image, feature))
+        return images, rows
 
     def _sums(self, feature: EncryptedFeature, what: str) -> SumPair:
         """The recovered sums of ``feature``, which must be sums an edge
@@ -463,12 +448,15 @@ class CloudNode:
         node = cls(params)
 
         def registered():
+            rows = []
             for owner_id, (image_id, enc_image, feature) in uploads:
                 if owner_id not in node._owners:
                     node.register_owner(owner_id, aul, [])
                 source = (node._lock, root / "owners" / owner_id)
-                node._add_images(node._owners[owner_id], [(image_id, enc_image, feature)], source)
+                rows += node._add_images(node._owners[owner_id], [(image_id, enc_image, feature)],
+                                         source)
                 yield owner_id, image_id, enc_image, feature
+            node._reindex(rows)  # once, before _write_tree writes index.tsv
 
         node._write_tree(root, registered())
         return node
@@ -514,17 +502,19 @@ class CloudNode:
         root = Path(root)
         node = cls(params)
         index_path = root / "index.tsv"
-        rows: dict[tuple[str, str], IndexEntry] = {}
+        rows, unmatched = [], set()
         for number, ln in enumerate(read_framed(index_path, INDEX_HEADER), 2):
             try:
                 owner_id, image_id, s1, s2 = ln.split("\t")
-                row = IndexEntry(owner_id, image_id, int(s1), int(s2))
+                row = (owner_id, image_id, int(s1), int(s2))
             except ValueError:
                 raise ValueError(f"{index_path}: line {number} is malformed: {ln!r}") from None
-            _require_ehd_sums(row.s1, row.s2, f"{index_path}: line {number}: sums")
-            if (owner_id, image_id) in rows:
+            _require_ehd_sums(row[2], row[3], f"{index_path}: line {number}: sums")
+            if row[:2] in unmatched:
                 raise CloudError(f"index row {owner_id}/{image_id} is listed twice")
-            rows[(owner_id, image_id)] = row
+            unmatched.add(row[:2])
+            rows.append(row)
+        node._reindex(rows)  # sorted, as a hand-edited file need not be
 
         owners_dir = root / "owners"
         for name in sorted(_listing(owners_dir)):
@@ -538,19 +528,17 @@ class CloudNode:
             record = OwnerRecord(owner_id=owner_id, aul=frozenset(aul.items()))
             features = set(_listing(base / "feat"))
             pgms = (n.removesuffix(".pgm") for n in _listing(base / "img") if n.endswith(".pgm"))
-            images = {}
             for image_id in sorted(pgms):
                 if f"{image_id}.eft" not in features:
                     eft = base / "feat" / f"{image_id}.eft"
                     raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(eft))
-                row = rows.pop((owner_id, image_id), None)
-                if row is None:
+                if (owner_id, image_id) not in unmatched:
                     raise CloudError(f"image {owner_id}/{image_id} has no index row")
-                images[image_id] = StoredImage(None, None, row, (node._lock, base))
-            record.store(images)
+                unmatched.remove((owner_id, image_id))
+                record.images[image_id] = StoredImage(None, None, (node._lock, base, image_id))
             node._owners[owner_id] = record
-        if rows:
-            raise CloudError("index row {}/{} has no image".format(*min(rows)))
+        if unmatched:
+            raise CloudError("index row {}/{} has no image".format(*min(unmatched)))
         return node
 
     @classmethod

@@ -33,6 +33,8 @@ g2 or security_bits is not the derived one.
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -346,7 +348,20 @@ def params_from_text(text: str) -> GroupParams:
 
 
 def save_params(params: GroupParams, path: str | Path) -> None:
-    Path(path).write_text(params_to_text(params))
+    replace_file(path, params_to_text(params))
+
+
+def replace_file(path: str | Path, text: str) -> None:
+    """Write ``text`` into a new owner-only file beside ``path``, which
+    replaces ``path`` only once whole; a failure removes it and re-raises."""
+    fd, new = tempfile.mkstemp(prefix=".new-", dir=Path(path).parent)
+    try:
+        with open(fd, "w") as fh:
+            fh.write(text)
+        os.replace(new, path)
+    except BaseException:
+        os.unlink(new)
+        raise
 
 
 def load_params(path: str | Path) -> GroupParams:

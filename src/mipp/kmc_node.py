@@ -16,7 +16,6 @@ Session keys are never persisted.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from pathlib import Path
 from typing import Sequence
@@ -24,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .cloud_node import credential_line, framed_text, read_credentials, read_framed
+from .group_crypto import replace_file
 from .image_cipher import image_dec, image_enc
 
 VAULT_HEADER = "MIPP-VAULT-1"
@@ -127,12 +127,8 @@ class KmcNode:
 
     def save_vault(self, path: str | Path) -> None:
         """Write owner keys hex-encoded; session keys are never written."""
-        text = framed_text(VAULT_HEADER, (credential_line(oid, sk)
-                                          for oid, sk in sorted(self._owner_keys.items())))
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with open(fd, "w") as fh:
-            os.fchmod(fd, 0o600)  # os.open's mode does not apply to an existing file
-            fh.write(text)
+        replace_file(path, framed_text(VAULT_HEADER, (
+            credential_line(oid, sk) for oid, sk in sorted(self._owner_keys.items()))))
 
     @classmethod
     def load_vault(cls, path: str | Path) -> "KmcNode":

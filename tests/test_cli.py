@@ -1,16 +1,20 @@
+import builtins
+import errno
+import io
 import os
 import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mipp
-from mipp import cloud_node, feature_crypto
-from mipp.cli import main
+from mipp import cli, cloud_node, feature_crypto
+from mipp.cli import build_parser, main
 from mipp.cloud_node import CloudNode, DeleteImages
 from mipp.ehd_features import extract_ehd
 from mipp.evaluation import SynthSpec, load_corpus, synth_corpus, write_corpus
@@ -283,6 +287,80 @@ def test_an_update_the_disk_cannot_hold_changes_nothing(
                   store, capsys)
     assert "No space left on device" in err and "Traceback" not in err
     assert not list(store.rglob(".new-*"))
+
+
+def _ingest_again(store, corpus):
+    args = build_parser().parse_args(["ingest", "--corpus", str(corpus), "--store", str(store),
+                                      "--owners", "2", "--seed", "cli-test"])
+    args.func(args)
+
+
+def _save_vault_again(store, corpus):
+    KmcNode.load_vault(store / "vault").save_vault(store / "vault")
+
+
+def test_concurrent_sessions_take_distinct_ordinals(tmp_path):
+    taken = []
+
+    def take():
+        taken.extend(cli._next_session(tmp_path) for _ in range(200))
+
+    threads = [threading.Thread(target=take) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sorted(taken) == list(range(400))
+    assert (tmp_path / "session.counter").read_text() == "400"
+
+
+@pytest.mark.parametrize("name, header, write", [
+    ("params.txt", "MIPP-PARAMS-1\n", _ingest_again),
+    ("users.tsv", "uid\tak_hex\n", _ingest_again),
+    ("vault", "MIPP-VAULT-1\n", _save_vault_again),
+    ("session.counter", "", lambda store, corpus: cli._next_session(store)),
+], ids=["params.txt", "users.tsv", "vault", "session.counter"])
+def test_a_store_file_the_disk_cannot_hold_keeps_its_old_bytes(
+    store_dir, corpus_dir, tmp_path, monkeypatch, name, header, write
+):
+    store = tmp_path / "store"
+    shutil.copytree(store_dir, store)
+    (store / "session.counter").write_text("5")
+    old = (store / name).read_bytes()
+    real_open = io.open
+
+    class Full:
+        """A file open for writing whose text writes that start with
+        ``header`` find the disk full."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, attr):
+            return getattr(self.fh, attr)
+
+        def write(self, data):
+            if isinstance(data, str) and data.startswith(header):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(data)
+
+    def open_full(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return Full(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(io, "open", open_full)  # pathlib opens through io.open
+    monkeypatch.setattr(builtins, "open", open_full)
+    with pytest.raises(OSError, match="No space left on device"):
+        write(store, corpus_dir)
+    monkeypatch.undo()
+    assert (store / name).read_bytes() == old
+    assert not list(store.glob(".new-*"))
 
 
 @pytest.mark.parametrize("path, line", [

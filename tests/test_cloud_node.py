@@ -583,35 +583,33 @@ def _ranked(cloud, use_index):
     return [(r.owner_id, r.image_id) for r in cloud.retrieve_top_h(q, use_index=use_index)]
 
 
-@pytest.mark.parametrize("command", [
-    DeleteImages(("img-a", "img-a")),
-    AddImages((("new", enc_img(7), upload([1, 1, 1], b"n1")),
-               ("new", enc_img(8), upload([2, 2, 2], b"n2")))),
-    UpdateImages((("img-a", enc_img(7), upload([4, 3, 2], b"u1")),
-                  ("img-a", enc_img(8), upload([3, 4, 2], b"u2")))),
-], ids=["delete", "add", "update"])
-def test_repeated_image_id_in_an_update_changes_nothing(command):
+@pytest.mark.parametrize("command, error, message", [
+    (DeleteImages(("img-a", "img-a")), DuplicateImageError, "owner-1/img-a"),
+    (AddImages((("new", enc_img(7), upload([1, 1, 1], b"n1")),
+                ("new", enc_img(8), upload([2, 2, 2], b"n2")))), DuplicateImageError, "owner-1/new"),
+    (UpdateImages((("img-a", enc_img(7), upload([4, 3, 2], b"u1")),
+                   ("img-a", enc_img(8), upload([3, 4, 2], b"u2")))),
+     DuplicateImageError, "owner-1/img-a"),
+    # refused at the last item, once the items before it are checked and staged
+    (AddImages((("new", enc_img(7), upload([1, 1, 1], b"n1")),
+                ("big", enc_img(8), upload([20_480], b"beyond")))),
+     CorruptedSumsError, "sums for owner-1/big lie outside an edge histogram's range"),
+    (UpdateImages((("img-a", enc_img(7), upload([4, 3, 2], b"u1")),
+                   ("img-b", enc_img(8), upload([200, 200, 200], b"u2")))),
+     CloudError, "owner-1/img-b: replacement changes its sums"),
+], ids=["delete", "add", "update", "add-beyond-ehd", "update-changes-sums"])
+def test_repeated_image_id_in_an_update_changes_nothing(command, error, message):
     cloud = make_cloud()
     before = cloud.index
     stored = dict(cloud.owner_record("owner-1").images)
     ranked = [_ranked(cloud, use_index) for use_index in (True, False)]
-    with pytest.raises(DuplicateImageError, match="owner-1/(img-a|new)"):
+    with pytest.raises(error, match=message):
         cloud.apply_update("owner-1", command)
     assert cloud.index == before
     images = cloud.owner_record("owner-1").images
     assert images.keys() == stored.keys()
     assert all(images[iid] is kept for iid, kept in stored.items())
     assert [_ranked(cloud, use_index) for use_index in (True, False)] == ranked
-
-
-def test_index_row_lives_with_its_image():
-    cloud = make_cloud()
-    images = cloud.owner_record("owner-1").images
-    assert images["img-a"].row == ("owner-1", "img-a", 9, 29)
-    assert cloud.index == tuple(sorted(
-        stored.row for oid in cloud.owner_ids
-        for stored in cloud.owner_record(oid).images.values()
-    ))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -650,10 +648,24 @@ def test_open_store_answers_as_load_store_does(tmp_path):
         want, got = loaded.owner_record(owner_id), opened.owner_record(owner_id)
         assert got.aul == want.aul and got.images.keys() == want.images.keys()
         for image_id, stored in want.images.items():
-            assert got.images[image_id].row == stored.row
             assert got.images[image_id].enc_image.dtype == stored.enc_image.dtype
             assert np.array_equal(got.images[image_id].enc_image, stored.enc_image)
             assert got.images[image_id].feature == stored.feature
+
+
+def test_an_index_out_of_order_opens_as_the_sorted_one(tmp_path):
+    make_cloud().save_store(tmp_path / "store")
+    index = tmp_path / "store" / "index.tsv"
+    sorted_ = CloudNode.open_store(tmp_path / "store", PARAMS)
+    header, *rows = index.read_text().splitlines(True)
+    index.write_text(header + "".join(reversed(rows)))
+    reversed_ = CloudNode.open_store(tmp_path / "store", PARAMS)
+    assert reversed_.index == sorted_.index
+    assert reversed_.index_table() == sorted_.index_table() == header + "".join(rows)
+    for use_index in (True, False):
+        for vector, h in (([2, 3, 4], 6), ([0, 0, 0], 2), ([200, 200, 200], 1)):
+            assert (_ranking(reversed_, vector, h, use_index)
+                    == _ranking(sorted_, vector, h, use_index))
 
 
 def _drop_line(prefix):
@@ -832,20 +844,6 @@ def test_columnar_ranking_equals_the_sorted_reference_after_every_mutation(
         cloud.save_store(root)
         for loader in (CloudNode.open_store, CloudNode.load_store):
             _check_both_paths(loader(root, PARAMS), plain, query_vector, data)
-
-
-def test_columns_are_built_at_the_first_query_and_dropped_when_images_change():
-    cloud = make_cloud()
-    record = cloud.owner_record("owner-1")
-    assert record._columns is None
-    cloud.retrieve_top_h(query([2, 3, 4], h=2))
-    columns = record.columns()
-    assert columns.image_ids == ["img-a", "img-b", "img-c"]
-    assert columns.s1.dtype == columns.s2.dtype == np.int64
-    assert columns.s1.tolist() == [9, 10, 600] and columns.s2.tolist() == [29, 100, 120000]
-    cloud.apply_update("owner-1", DeleteImages(("img-b",)))
-    assert record._columns is None
-    assert record.columns().image_ids == ["img-a", "img-c"]
 
 
 def _edit_row(line, s1, s2):
