@@ -4,15 +4,15 @@ The cloud stores encrypted images and encrypted features per owner, plus an
 authorized-user list per owner.  At registration it aggregates each feature
 pair once and keeps the recovered sums (s1, s2) in the retrieval index; this
 is the scheme's deliberate leakage surface (the cloud learns per-image sums,
-nothing entrywise).  The index is four columns sorted by (owner id,
-image id): owner ids, image ids, and s1 and s2 as int64, so each owner's
-rows are one run, found by bisecting the owner column.  A query ranks the
-authorized owners' runs with ``similarity.top_h`` in owner-id order, so a
-row's position follows (owner id, image id) and equal keys go by that
-pair, as in ``sorted((key, owner, image))``.  ``retrieve_top_h(use_index=False)``
-makes the same ranking call over sums re-aggregated from the ciphertexts
-of each authorized owner's ``images``, in image-id order, without reading
-the columns; it is the reference the index path is checked and timed against.
+nothing entrywise).  The cloud is one table of five columns sorted by
+(owner id, image id): owner ids, image ids, s1 and s2 as int64, and each
+row's ``StoredImage``, so each owner's rows are one run, found by bisecting
+the owner column.  A query ranks the authorized owners' runs with
+``similarity.top_h`` in owner-id order, so a row's position follows (owner
+id, image id) and equal keys go by that pair, as in ``sorted((key, owner,
+image))``.  ``retrieve_top_h(use_index=False)`` ranks the same rows by sums
+re-aggregated from their ciphertexts; it is the reference the index path is
+checked and timed against.
 
 The int64 keys are exact because the cloud refuses sums no edge histogram
 has: 80 entries in [0, 255] give 0 <= s1 <= 20,400 and
@@ -22,21 +22,22 @@ against that range and against Cauchy-Schwarz.
 
 Every feature and query the cloud takes is an edge histogram, of
 ``ehd_features.FEATURE_DIMS`` entries; one check refuses any other length,
-the first feature into an empty cloud included.  The columns are the only
-copy of the sums; registration and each update rebuild them once, after
-every check, so they and the owners' ``images`` hold the same keys.  One lock
-serves readers and writers: queries, ``verify_user`` and ``index`` read
-under it, registration and updates hold it while they stage and then store
-the records, so no retrieval ever observes a half-applied update.
+the first feature into an empty cloud included.  The table is the only
+copy of the cloud's images and sums; registration and each update rebuild
+it once, after every check.  One lock, ``CloudNode.lock``, serves
+readers and writers: queries, ``verify_user`` and ``index`` read under it,
+registration and updates hold it while they stage and then store the rows,
+so no retrieval ever observes a half-applied update.
 
 On disk a cloud is ``index.tsv`` plus ``owners/<id>/`` with a manifest and
 each image's ``img/<image>.pgm`` and ``feat/<image>.eft``, which
 ``_write_image`` writes; ``index.tsv`` and each manifest, like the key
 center's ``vault`` and the store's ``users.tsv``, are a header line and
 then records, written by ``framed_text`` and read by ``read_framed``.
-``open_store`` reads only the index, the manifests and the listings; each
-image reads its pixels and feature on first use, under the lock, so a
-query reads the h images it returns and no ``.eft``.  One writer,
+``open_store`` reads only the index, the manifests and the listings, and a
+row of an opened or built store gets its image when it is first read; that
+image reads its pixels and feature on first use, under the lock, so a query
+makes and reads the h images it returns and reads no ``.eft``.  One writer,
 ``_write_tree``, writes every tree, for ``build_store`` and ``save_store``
 alike: each image as it comes (``save_store`` reads the kept ones from the
 old tree as it goes), then the tables, into a new directory whose
@@ -53,9 +54,9 @@ import re
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,11 +113,12 @@ class IndexEntry(NamedTuple):
 class StoredImage:
     """One stored image: its encrypted pixels and encrypted feature.
 
-    An image of a store opened by ``CloudNode.open_store`` may start
-    without its pixels or its feature, and then reads each from the store
-    the first time it is used, under its cloud's lock.  Its ``_source`` is
-    that lock, its owner's directory and its image id; it holds no reference
-    to the cloud, so a cloud that is dropped is freed at once.
+    A row of a store the cloud was opened from or built into gets its image
+    the first time the row is read, without its pixels or its feature; the
+    image reads each from the store the first time it is used, under its
+    cloud's lock, and keeps it.  Its ``_source`` is that lock, its owner's
+    directory and its image id; it holds no reference to the cloud, so a
+    cloud that is dropped is freed at once.
     """
 
     _enc_image: np.ndarray | None
@@ -144,11 +146,11 @@ class StoredImage:
 
 @dataclass
 class OwnerRecord:
-    """An owner's authorized users and images; the cloud's index holds their sums."""
+    """A snapshot of an owner's authorized users and images, by image id."""
 
     owner_id: str
     aul: frozenset[tuple[str, bytes]]
-    images: dict[str, StoredImage] = field(default_factory=dict)
+    images: dict[str, StoredImage]
 
     def require_owned(self, image_ids: Iterable[str]) -> None:
         """Refuse an unsafe or repeated image id, or one this owner does not hold."""
@@ -265,28 +267,30 @@ class CloudNode:
 
     def __init__(self, params: GroupParams):
         self.params = params
-        self._owners: dict[str, OwnerRecord] = {}
-        self._lock = threading.RLock()
-        self._owner_col: list[str] = []
-        self._image_col: list[str] = []
+        self.lock = threading.RLock()
+        self._auls: dict[str, frozenset[tuple[str, bytes]]] = {}
+        self._owners_dir: Path | None = None  # where a row without an image reads it
+        self._owner_col, self._image_col, self._stored = [], [], []
         self._s1 = self._s2 = np.zeros(0, dtype=np.int64)
 
     @property
     def index(self) -> tuple[IndexEntry, ...]:
         """Every stored image's row, in (owner id, image id) order."""
-        with self._lock:
+        with self.lock:
             return tuple(map(IndexEntry, self._owner_col, self._image_col,
                              self._s1.tolist(), self._s2.tolist()))
 
     @property
     def owner_ids(self) -> tuple[str, ...]:
-        return tuple(self._owners)
+        return tuple(self._auls)
 
     def owner_record(self, owner_id: str) -> OwnerRecord:
-        try:
-            return self._owners[owner_id]
-        except KeyError:
-            raise UnknownOwnerError(owner_id) from None
+        """A snapshot of ``owner_id``'s authorized users and the images of its rows."""
+        with self.lock:
+            if owner_id not in self._auls:
+                raise UnknownOwnerError(owner_id)
+            return OwnerRecord(owner_id, self._auls[owner_id], {
+                self._image_col[row]: self._image(row) for row in range(*self._run(owner_id))})
 
     def register_owner(
         self,
@@ -296,55 +300,53 @@ class CloudNode:
     ) -> int:
         """Store a new owner's uploads and index them; returns rows added."""
         _check_id(owner_id, "owner id")
-        with self._lock:
-            if owner_id in self._owners:
+        with self.lock:
+            if owner_id in self._auls:
                 raise DuplicateOwnerError(owner_id)
-            record = OwnerRecord(owner_id, frozenset((uid, bytes(ak)) for uid, ak in aul))
-            if len({uid for uid, _ in record.aul}) < len(record.aul):
+            aul = frozenset((uid, bytes(ak)) for uid, ak in aul)
+            if len({uid for uid, _ in aul}) < len(aul):
                 raise ValueError(f"{owner_id}: authorized-user list repeats a user")
-            rows = self._add_images(record, images)
-            self._owners[owner_id] = record
-            self._reindex(rows)
-            return len(rows)
+            added = self._add_images(owner_id, images)
+            self._auls[owner_id] = aul
+            return added
 
     def verify_user(self, uid: str, ak: bytes) -> set[str]:
         """Owners whose authorized-user list contains (uid, ak)."""
         token = (uid, bytes(ak))
-        with self._lock:
-            return {oid for oid, rec in self._owners.items() if token in rec.aul}
+        with self.lock:
+            return {oid for oid, aul in self._auls.items() if token in aul}
 
     def retrieve_top_h(
         self, q: QueryEnvelope, use_index: bool = True
     ) -> list[RetrievalResult]:
         """Rank all authorized images by encrypted-domain distance.
 
-        The query sums are recovered once; with ``use_index`` the rows are
-        the authorized images' stored rows, without it they are re-aggregated
-        from those images' ciphertext pairs.  Both paths make the same ranking
-        call and return identical rankings.
+        The query sums are recovered once; the rows are the authorized
+        owners' runs, whose sums ``use_index`` reads from the columns and
+        without it re-aggregates from each row's ciphertext pair.  Both paths
+        make the same ranking call and return identical rankings.
         """
-        with self._lock:
+        with self.lock:
             authorized = self.verify_user(q.uid, q.ak)
             if not authorized:
                 raise AuthorizationError(f"user {q.uid!r} matches no owner's list")
             query = self._sums(q.eq, f"query sums of user {q.uid!r}")
-            owners = sorted(authorized)
+            rows = np.concatenate([np.arange(*self._run(oid)) for oid in sorted(authorized)])
             if use_index:
-                rows = np.concatenate([np.arange(*self._run(oid)) for oid in owners])
                 s1, s2 = self._s1[rows], self._s2[rows]
             else:
-                keys = [(oid, iid) for oid in owners for iid in sorted(self._owners[oid].images)]
-                sums = [self._sums(self._owners[oid].images[iid].feature, f"sums for {oid}/{iid}")
-                        for oid, iid in keys]
+                sums = [self._sums(self._image(row).feature,
+                                   f"sums for {self._owner_col[row]}/{self._image_col[row]}")
+                        for row in rows.tolist()]
                 s1, s2 = (np.array([getattr(s, n) for s in sums], dtype=np.int64)
                           for n in ("s1", "s2"))
             results = []
             for key, position in top_h(query, s1, s2, q.h):
-                owner_id, image_id = self._key(rows[position]) if use_index else keys[position]
+                row = rows[position]
                 results.append(RetrievalResult(
-                    owner_id=owner_id,
-                    image_id=image_id,
-                    enc_image=self._owners[owner_id].images[image_id].enc_image,
+                    owner_id=self._owner_col[row],
+                    image_id=self._image_col[row],
+                    enc_image=self._image(row).enc_image,
                     distance=math.sqrt(key / query.l),
                 ))
             return results
@@ -353,67 +355,67 @@ class CloudNode:
         self, owner_id: str, command: AddImages | DeleteImages | UpdateImages
     ) -> None:
         """Apply an owner's add / delete / update command atomically."""
-        with self._lock:
+        with self.lock:
             record = self.owner_record(owner_id)
             if isinstance(command, AddImages):
-                self._reindex(self._add_images(record, command.items))
+                self._add_images(owner_id, command.items)
             elif isinstance(command, DeleteImages):
                 record.require_owned(command.image_ids)
-                for image_id in command.image_ids:
-                    del record.images[image_id]
-                self._reindex()
+                self._reindex(drop={(owner_id, image_id) for image_id in command.image_ids})
             elif isinstance(command, UpdateImages):
                 record.require_owned(iid for iid, _, _ in command.items)
-                images, rows = self._stage(owner_id, command.items)
+                rows = [self._row(owner_id, *item) for item in command.items]
                 start, stop = self._run(owner_id)
-                for _, image_id, s1, s2 in rows:
+                for _, image_id, s1, s2, _ in rows:
                     i = bisect.bisect_left(self._image_col, image_id, start, stop)
                     if self._s1[i] != s1 or self._s2[i] != s2:
                         raise CloudError(f"{owner_id}/{image_id}: replacement changes its sums")
-                record.images.update(images)
+                self._reindex(rows, drop={row[:2] for row in rows})
             else:
                 raise TypeError(f"unknown update command {type(command).__name__}")
-
-    def _key(self, row: int) -> tuple[str, str]:
-        """The (owner id, image id) of position ``row`` in the columns."""
-        return self._owner_col[row], self._image_col[row]
 
     def _run(self, owner_id: str) -> tuple[int, int]:
         """The start and stop of ``owner_id``'s rows in the columns."""
         return (bisect.bisect_left(self._owner_col, owner_id),
                 bisect.bisect_right(self._owner_col, owner_id))
 
-    def _reindex(self, rows: Iterable[tuple] = ()) -> None:
-        """Rebuild the columns from the rows of the images still held and
-        ``rows``, each the (owner id, image id, s1, s2) of a new image."""
-        held = (row for row in self.index if row.image_id in self._owners[row.owner_id].images)
-        rows = sorted([*held, *rows])
-        owners, images, s1, s2 = zip(*rows) if rows else [()] * 4
-        self._owner_col, self._image_col = list(owners), list(images)
+    def _image(self, row: int) -> StoredImage:
+        """Position ``row``'s image; a row without one gets it, reading from the store."""
+        if self._stored[row] is None:
+            base = self._owners_dir / self._owner_col[row]
+            self._stored[row] = StoredImage(None, None, (self.lock, base, self._image_col[row]))
+        return self._stored[row]
+
+    def _reindex(self, rows: Iterable[tuple] = (), drop: Container[tuple] = ()) -> None:
+        """Rebuild the columns from ``rows``, each (owner id, image id, s1, s2, image or
+        ``None``), and the held rows whose ids ``drop`` lacks; no two share their ids."""
+        held = zip(self._owner_col, self._image_col, self._s1.tolist(), self._s2.tolist(),
+                   self._stored)
+        rows = sorted([*(row for row in held if row[:2] not in drop), *rows])
+        owners, images, s1, s2, stored = zip(*rows) if rows else [()] * 5
+        self._owner_col, self._image_col, self._stored = list(owners), list(images), list(stored)
         self._s1, self._s2 = np.array(s1, dtype=np.int64), np.array(s2, dtype=np.int64)
 
-    def _add_images(self, record: OwnerRecord, items: Sequence[tuple], source=None) -> list:
-        """Store new images of ``record``, all of them or none; returns their
-        index rows for the caller to add with ``_reindex``."""
+    def _add_images(self, owner_id: str, items: Sequence[tuple]) -> int:
+        """Add rows for ``items``, new images of ``owner_id``, all of them or
+        none; returns how many."""
+        held = set(self._image_col[slice(*self._run(owner_id))])
         for image_id, _, _ in items:
             _check_id(image_id, "image id")
-            if image_id in record.images:
-                raise DuplicateImageError(f"{record.owner_id}/{image_id}")
-        _require_distinct(record.owner_id, (image_id for image_id, _, _ in items))
-        images, rows = self._stage(record.owner_id, items, source)
-        record.images.update(images)
-        return rows
+            if image_id in held:
+                raise DuplicateImageError(f"{owner_id}/{image_id}")
+        _require_distinct(owner_id, (image_id for image_id, _, _ in items))
+        rows = [self._row(owner_id, *item) for item in items]
+        self._reindex(rows)
+        return len(rows)
 
-    def _stage(self, owner_id: str, items: Sequence[tuple], source=None) -> tuple[dict, list]:
-        """``items``, whose ids are distinct, as stored images and their
-        index rows; with a ``source``, the images read their files from it."""
-        images, rows = {}, []
-        for image_id, enc_image, feature in items:
-            sums = self._sums(feature, f"sums for {owner_id}/{image_id}")
-            rows.append((owner_id, image_id, sums.s1, sums.s2))
-            images[image_id] = (StoredImage(None, None, (*source, image_id)) if source
-                                else StoredImage(enc_image, feature))
-        return images, rows
+    def _row(self, owner_id: str, image_id: str, enc_image: np.ndarray | None,
+             feature: EncryptedFeature) -> tuple:
+        """The row of ``owner_id``'s image ``image_id``, its feature's sums checked;
+        without its pixels the row has no image until it is read."""
+        sums = self._sums(feature, f"sums for {owner_id}/{image_id}")
+        stored = None if enc_image is None else StoredImage(enc_image, feature)
+        return owner_id, image_id, sums.s1, sums.s2, stored
 
     def _sums(self, feature: EncryptedFeature, what: str) -> SumPair:
         """The recovered sums of ``feature``, which must be sums an edge
@@ -433,9 +435,8 @@ class CloudNode:
         """Persist owners/<OID>/{manifest,img,feat} plus index.tsv, reading each image
         as ``_write_tree`` writes it, so a file that fails to read changes nothing."""
         self._write_tree(root, (
-            (owner_id, image_id, stored.enc_image, stored.feature)
-            for owner_id, record in sorted(self._owners.items())
-            for image_id, stored in sorted(record.images.items())
+            (self._owner_col[row], self._image_col[row], stored.enc_image, stored.feature)
+            for row, stored in enumerate(map(self._image, range(len(self._stored))))
         ))
 
     @classmethod
@@ -446,17 +447,19 @@ class CloudNode:
         and kept as its row; the new tree replaces ``root``'s once whole, or not at all."""
         root = Path(root)
         node = cls(params)
+        node._owners_dir = root / "owners"
 
         def registered():
-            rows = []
+            rows = {}
             for owner_id, (image_id, enc_image, feature) in uploads:
-                if owner_id not in node._owners:
+                if owner_id not in node._auls:
                     node.register_owner(owner_id, aul, [])
-                source = (node._lock, root / "owners" / owner_id)
-                rows += node._add_images(node._owners[owner_id], [(image_id, enc_image, feature)],
-                                         source)
+                _check_id(image_id, "image id")
+                if (owner_id, image_id) in rows:
+                    raise DuplicateImageError(f"{owner_id}/{image_id}")
+                rows[owner_id, image_id] = node._row(owner_id, image_id, None, feature)
                 yield owner_id, image_id, enc_image, feature
-            node._reindex(rows)  # once, before _write_tree writes index.tsv
+            node._reindex(rows.values())  # once, before _write_tree writes index.tsv
 
         node._write_tree(root, registered())
         return node
@@ -472,7 +475,7 @@ class CloudNode:
         root.mkdir(parents=True, exist_ok=True)
         new = Path(tempfile.mkdtemp(prefix=".new-", dir=root))
         try:
-            with self._lock:
+            with self.lock:
                 (new / "owners").mkdir()
                 bases: dict[str, Path] = {}
                 for owner_id, image_id, enc_image, feature in images:
@@ -480,9 +483,9 @@ class CloudNode:
                         bases[owner_id] = _make_owner_dir(new / "owners" / owner_id)
                     _write_image(bases[owner_id], image_id, enc_image, feature)
                 (new / "index.tsv").write_text(self.index_table())
-                for oid, rec in self._owners.items():
+                for oid, aul in self._auls.items():
                     base = bases.get(oid) or _make_owner_dir(new / "owners" / oid)
-                    users = (credential_line(*user) for user in sorted(rec.aul))
+                    users = (credential_line(*user) for user in sorted(aul))
                     (base / "manifest").write_text(framed_text(MANIFEST_HEADER, [oid, *users]))
         except BaseException:
             shutil.rmtree(made or new)
@@ -496,27 +499,26 @@ class CloudNode:
     @classmethod
     def open_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
         """Open a store reading only ``index.tsv``, each manifest and the
-        ``img/`` and ``feat/`` listings; no ``.eft`` and no ``.pgm``.  Each
-        image reads its pixels and feature on first use.  Each image must
-        have exactly one ``index.tsv`` row and a ``.eft`` file."""
+        ``img/`` and ``feat/`` listings; no ``.eft``, no ``.pgm``, and no row
+        gets its image until it is read.  Each image must have exactly one
+        ``index.tsv`` row and a ``.eft`` file."""
         root = Path(root)
         node = cls(params)
         index_path = root / "index.tsv"
-        rows, unmatched = [], set()
+        unmatched = {}  # each row by (owner id, image id), until its image is listed
         for number, ln in enumerate(read_framed(index_path, INDEX_HEADER), 2):
             try:
                 owner_id, image_id, s1, s2 = ln.split("\t")
-                row = (owner_id, image_id, int(s1), int(s2))
+                row = (owner_id, image_id, int(s1), int(s2), None)
             except ValueError:
                 raise ValueError(f"{index_path}: line {number} is malformed: {ln!r}") from None
             _require_ehd_sums(row[2], row[3], f"{index_path}: line {number}: sums")
             if row[:2] in unmatched:
                 raise CloudError(f"index row {owner_id}/{image_id} is listed twice")
-            unmatched.add(row[:2])
-            rows.append(row)
-        node._reindex(rows)  # sorted, as a hand-edited file need not be
+            unmatched[row[:2]] = row
+        node._reindex(unmatched.values())  # sorted, as a hand-edited file need not be
 
-        owners_dir = root / "owners"
+        node._owners_dir = owners_dir = root / "owners"
         for name in sorted(_listing(owners_dir)):
             base = owners_dir / name
             manifest = read_framed(base / "manifest", MANIFEST_HEADER)
@@ -525,7 +527,7 @@ class CloudNode:
             if owner_id != name:
                 raise ValueError(f"{base}/manifest: owner id {owner_id!r} is not {name!r}")
             aul = read_credentials(base / "manifest", manifest[1:], 3, "user")
-            record = OwnerRecord(owner_id=owner_id, aul=frozenset(aul.items()))
+            node._auls[owner_id] = frozenset(aul.items())
             features = set(_listing(base / "feat"))
             pgms = (n.removesuffix(".pgm") for n in _listing(base / "img") if n.endswith(".pgm"))
             for image_id in sorted(pgms):
@@ -534,20 +536,17 @@ class CloudNode:
                     raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(eft))
                 if (owner_id, image_id) not in unmatched:
                     raise CloudError(f"image {owner_id}/{image_id} has no index row")
-                unmatched.remove((owner_id, image_id))
-                record.images[image_id] = StoredImage(None, None, (node._lock, base, image_id))
-            node._owners[owner_id] = record
+                del unmatched[owner_id, image_id]
         if unmatched:
             raise CloudError("index row {}/{} has no image".format(*min(unmatched)))
         return node
 
     @classmethod
     def load_store(cls, root: str | Path, params: GroupParams) -> "CloudNode":
-        """``open_store``, then read every image's pixels and feature; no command uses it."""
+        """``open_store``, then read every row's pixels and feature; no command uses it."""
         node = cls.open_store(root, params)
-        for record in node._owners.values():
-            for stored in record.images.values():
-                stored.enc_image, stored.feature  # each property reads its file
+        for stored in map(node._image, range(len(node._stored))):
+            stored.enc_image, stored.feature  # each property reads its file
         return node
 
 

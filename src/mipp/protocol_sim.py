@@ -550,7 +550,8 @@ class World:
 
         The owner key covers ``max_image_pixels`` pixels; a larger image
         (``KeyLengthError``) or one too small for an EHD is refused, by its
-        id, before anything is sent.
+        id, before anything is sent.  Both steps run under the cloud's lock,
+        so no session ranks the owner's images before the KMC holds its key.
         """
         if owner_id in self.owners:
             raise ValueError(f"owner {owner_id!r} already exists")
@@ -566,12 +567,12 @@ class World:
 
         upload = Message(setup_session, OwnerUpload(owner_id=owner_id, aul=aul,
                                                     images=tuple(uploads)))
-        self._send(upload, self.setup_transcript, lambda m: self.cloud.register_owner(
-            m.payload.owner_id, m.payload.aul, m.payload.images))
-
         deposit = Message(setup_session, OwnerKeyDeposit(owner_id=owner_id, sk=sk))
-        self._send(deposit, self.setup_transcript, lambda m: self.kmc.store_owner_key(
-            m.payload.owner_id, m.payload.sk))
+        with self.cloud.lock:
+            self._send(upload, self.setup_transcript, lambda m: self.cloud.register_owner(
+                m.payload.owner_id, m.payload.aul, m.payload.images))
+            self._send(deposit, self.setup_transcript, lambda m: self.kmc.store_owner_key(
+                m.payload.owner_id, m.payload.sk))
 
         actor = OwnerActor(plain_images=dict(images), plain_features=plain_features)
         self.owners[owner_id] = actor

@@ -772,6 +772,20 @@ def test_concurrent_reads_of_an_opened_store_read_each_image_once(tmp_path, monk
         sys.setswitchinterval(old_interval)
 
 
+def test_an_opened_store_makes_an_image_only_for_each_row_it_reads(tmp_path, monkeypatch):
+    make_cloud().save_store(tmp_path / "store")
+    made = []
+    stored_image = cloud_node.StoredImage
+    monkeypatch.setattr(cloud_node, "StoredImage",
+                        lambda *args: made.append(args) or stored_image(*args))
+    cloud = CloudNode.open_store(tmp_path / "store", PARAMS)
+    assert made == []
+    q = query([2, 3, 4], h=3)
+    assert len(cloud.retrieve_top_h(q)) == 3 and len(made) == 3
+    cloud.retrieve_top_h(q)  # a row keeps the image it was given
+    assert len(made) == 3
+
+
 def test_saving_an_opened_store_over_itself_changes_no_byte(tmp_path):
     root = tmp_path / "store"
     make_cloud().save_store(root)

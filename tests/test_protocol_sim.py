@@ -1,4 +1,5 @@
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mipp.cloud_node import QueryEnvelope
 from mipp.ehd_features import ImageTooSmallError
 from mipp.feature_crypto import EncryptedFeature, encrypt_feature_pair
 from mipp.group_crypto import gen_group_params
+from mipp.kmc_node import KmcNode
 from mipp.protocol_sim import (
     CloudToKmc,
     CloudToUser,
@@ -317,3 +319,47 @@ def test_transcript_text_format():
     lines = result.transcript.to_text().strip().splitlines()
     assert lines[0].startswith("3 USER_QUERY session=")
     assert all("sha256=" in ln for ln in lines)
+
+
+def test_no_session_ranks_an_owner_before_the_kmc_holds_its_key(monkeypatch):
+    world = make_world()
+    query = world.owners["owner-1"].plain_images["im-0"]
+    rng = np.random.default_rng(12)
+    images = [(f"im-{i}", rng.integers(0, 256, size=(16, 16), dtype=np.uint8)) for i in range(2)]
+    between, release = threading.Event(), threading.Event()
+    store_owner_key = KmcNode.store_owner_key
+
+    def held(kmc, oid, sk):  # step 2 waits until the session has had its chance
+        between.set()
+        release.wait(timeout=60)
+        store_owner_key(kmc, oid, sk)
+
+    monkeypatch.setattr(KmcNode, "store_owner_key", held)
+    outcome = {}
+
+    def run(name, call):
+        try:
+            outcome[name] = call()
+        except Exception as exc:  # recorded; the assertions below report it
+            outcome[name] = exc
+
+    adder = threading.Thread(target=run, args=("owner", lambda: world.add_owner(
+        "owner-3", images, authorize=["alice"])))
+    session = threading.Thread(target=run, args=("session", lambda: world.run_session(
+        "alice", query)))
+    adder.start()
+    try:
+        assert between.wait(timeout=60)
+        session.start()
+        session.join(timeout=0.5)  # a session that does not wait for step 2 ends here
+    finally:
+        release.set()
+    for thread in (adder, session):
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    result = outcome["session"]
+    assert not isinstance(result, Exception), result
+    assert not isinstance(outcome["owner"], Exception), outcome["owner"]
+    assert result.authorized and ("owner-3", "im-0") in result.returned
+    for (oid, iid), plain in result.images.items():
+        assert np.array_equal(plain, world.owners[oid].plain_images[iid])
